@@ -1,11 +1,15 @@
 /// Performance benches for the anonymization layer: raw AES-128 blocks,
-/// CryptoPAN address anonymization (32 AES calls each), the telescope's
+/// CryptoPAN address anonymization (32 AES blocks each, on the software
+/// cipher and on AES-NI), the telescope's
 /// memoized path (the working-set argument for scaling the darkspace
 /// with the window), and SipHash keyed hashing.
 
 #include <benchmark/benchmark.h>
 
+#include <optional>
+
 #include "common/prng.hpp"
+#include "common/simd.hpp"
 #include "common/thread_pool.hpp"
 #include "crypt/aes128.hpp"
 #include "crypt/cryptopan.hpp"
@@ -30,15 +34,25 @@ void BM_Aes128Block(benchmark::State& state) {
 }
 BENCHMARK(BM_Aes128Block);
 
+/// Argument: the dispatch tier to force (0 = scalar: the FIPS-197
+/// software cipher; 2 = avx2: the AES-NI path on hosts that have it).
 void BM_CryptoPanAnonymize(benchmark::State& state) {
+  const auto tier = static_cast<simd::Tier>(state.range(0));
+  if (tier > simd::detected_tier()) {
+    state.SkipWithError("host does not support the requested tier");
+    return;
+  }
+  simd::set_tier(tier);
+  state.SetLabel(simd::use_aesni() ? "aesni" : "software");
   const CryptoPan pan = CryptoPan::from_seed(42);
   Rng rng(1);
   for (auto _ : state) {
     benchmark::DoNotOptimize(pan.anonymize(Ipv4(rng.next_u32())));
   }
   state.SetItemsProcessed(state.iterations());
+  simd::set_tier(std::nullopt);
 }
-BENCHMARK(BM_CryptoPanAnonymize);
+BENCHMARK(BM_CryptoPanAnonymize)->Arg(0)->Arg(2);
 
 void BM_TelescopeMemoizedAnonymize(benchmark::State& state) {
   // Working set of `range` distinct addresses: after warm-up every call

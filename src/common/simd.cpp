@@ -82,4 +82,13 @@ std::string_view tier_name(Tier tier) {
 
 bool use_avx2() { return active_tier() == Tier::kAvx2; }
 
+bool use_aesni() {
+#if defined(__x86_64__) || defined(__i386__)
+  static const bool aes = __builtin_cpu_supports("aes");
+  return aes && active_tier() != Tier::kScalar;
+#else
+  return false;
+#endif
+}
+
 }  // namespace obscorr::simd

@@ -2,10 +2,14 @@
 /// \file simd.hpp
 /// Runtime SIMD dispatch for the pipeline's hot kernels.
 ///
-/// The four hottest loops — batched packet ingest, the 6x11-bit LSD
-/// radix sort, the DCSR ewise_add column merge, and the Table II span
-/// reductions — each ship a scalar implementation and a vectorized
-/// variant in a sibling `*_simd.cpp` translation unit. Which variant
+/// The hot kernels — batched packet ingest, the 6x11-bit LSD radix
+/// sort, the DCSR ewise_add column merge, the Table II span reductions,
+/// the archive codec's unpack loops, and CryptoPAN's 32 AES blocks per
+/// address (AES-NI) — each ship a scalar implementation and a
+/// vectorized variant in a sibling `*_simd.cpp` translation unit. A
+/// forced scalar tier therefore also runs CryptoPAN on the FIPS-197
+/// software cipher, the reference the AES-NI path is tested against.
+/// Which variant
 /// runs is a process-wide *tier* resolved at startup from cpuid and
 /// clamped by two overrides:
 ///
@@ -34,8 +38,9 @@ namespace obscorr::simd {
 
 /// Instruction-set tiers, ordered: a kernel compiled for tier T may run
 /// whenever the active tier is >= T. kSse42 exists for hosts with SSE4.2
-/// but no AVX2 (the CRC32C path keys off it); the four hot kernels ship
-/// scalar and AVX2 variants, so kSse42 runs their scalar fallback.
+/// but no AVX2 (the CRC32C path keys off it); the other hot kernels ship
+/// scalar and AVX2 variants, so kSse42 runs their scalar fallback, except
+/// CryptoPAN, whose AES-NI path runs at any tier above scalar.
 enum class Tier : int {
   kScalar = 0,
   kSse42 = 1,
@@ -67,5 +72,10 @@ std::string_view tier_name(Tier tier);
 /// True when the active tier runs the AVX2 kernel variants. This is the
 /// hot-path dispatch predicate: one relaxed atomic load.
 bool use_avx2();
+
+/// True when CryptoPAN runs on the AES-NI instructions: cpuid reports
+/// AES-NI and the active tier is above scalar. A forced scalar tier
+/// keeps the FIPS-197 software cipher.
+bool use_aesni();
 
 }  // namespace obscorr::simd

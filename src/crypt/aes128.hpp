@@ -8,6 +8,8 @@
 /// before traffic matrices are shared. Correctness is pinned to the
 /// FIPS-197 appendix test vectors in the unit tests. Not intended as a
 /// general-purpose cipher (no decryption, no modes, not constant-time).
+/// On hosts with AES-NI a batched hardware path runs the same cipher;
+/// the software `encrypt` stays the reference it is tested against.
 
 #include <array>
 #include <cstdint>
@@ -23,8 +25,14 @@ class Aes128 {
 
   explicit Aes128(const Key& key);
 
-  /// Encrypt one 16-byte block.
+  /// Encrypt one 16-byte block (the FIPS-197 software reference).
   Block encrypt(const Block& plaintext) const;
+
+  /// Encrypt `in` into `out` (equal sizes) with the AES-NI instructions
+  /// over the same round keys, eight blocks in flight so each round's
+  /// latency overlaps the others. Bit-identical to `encrypt` per block.
+  /// Callers check `simd::use_aesni()` first (aes128_simd.cpp).
+  void encrypt_blocks_aesni(std::span<const Block> in, std::span<Block> out) const;
 
  private:
   // 11 round keys of 16 bytes each.

@@ -1,6 +1,8 @@
 #include "crypt/cryptopan.hpp"
 
 #include "common/prng.hpp"
+#include "common/simd.hpp"
+#include "obs/telemetry.hpp"
 
 namespace obscorr::crypt {
 
@@ -33,23 +35,38 @@ CryptoPan CryptoPan::from_seed(std::uint64_t seed) {
 
 Ipv4 CryptoPan::anonymize(Ipv4 addr) const {
   const std::uint32_t orig = addr.value();
-  std::uint32_t otp = 0;  // one-time pad assembled bit by bit, MSB first
 
   // For each prefix length i, the PRF input is the first i bits of the
   // original address with the remaining 32-i bits taken from the pad;
   // the output bit is the MSB of the AES ciphertext. Addresses sharing a
   // k-bit prefix share the first k PRF inputs, hence the first k output
-  // bits — that is the prefix-preserving property.
+  // bits — that is the prefix-preserving property. The inputs depend on
+  // the original address only, never on earlier output bits, so all 32
+  // can be encrypted as one batch.
+  std::array<Aes128::Block, 32> inputs;
   for (int i = 0; i < 32; ++i) {
     const std::uint32_t mask = i == 0 ? 0U : ~0U << (32 - i);
     const std::uint32_t mixed = (orig & mask) | (pad_word_ & ~mask);
-    Aes128::Block input = pad_;
+    Aes128::Block& input = inputs[static_cast<std::size_t>(i)];
+    input = pad_;
     input[0] = static_cast<std::uint8_t>(mixed >> 24);
     input[1] = static_cast<std::uint8_t>(mixed >> 16);
     input[2] = static_cast<std::uint8_t>(mixed >> 8);
     input[3] = static_cast<std::uint8_t>(mixed);
-    const Aes128::Block cipher = aes_.encrypt(input);
-    otp |= static_cast<std::uint32_t>(cipher[0] >> 7) << (31 - i);
+  }
+  std::array<Aes128::Block, 32> ciphers;
+  if (simd::use_aesni()) {
+    if (obs::counters_enabled()) {
+      static obs::Counter& dispatched = obs::counter("simd.dispatch_cryptopan");
+      dispatched.add(1);
+    }
+    aes_.encrypt_blocks_aesni(inputs, ciphers);
+  } else {
+    for (std::size_t i = 0; i < inputs.size(); ++i) ciphers[i] = aes_.encrypt(inputs[i]);
+  }
+  std::uint32_t otp = 0;  // one-time pad, one bit per prefix length, MSB first
+  for (int i = 0; i < 32; ++i) {
+    otp |= static_cast<std::uint32_t>(ciphers[static_cast<std::size_t>(i)][0] >> 7) << (31 - i);
   }
   return Ipv4(orig ^ otp);
 }

@@ -69,6 +69,55 @@ AssocArray AssocArray::from_triples(std::vector<Triple> triples) {
   return a;
 }
 
+AssocArray AssocArray::from_csr(std::vector<std::string> row_keys,
+                                std::vector<std::string> col_keys,
+                                std::vector<std::uint64_t> row_ptr,
+                                std::vector<std::uint32_t> col_idx, std::vector<double> val) {
+  AssocArray a;
+  a.row_keys_ = std::move(row_keys);
+  a.col_keys_ = std::move(col_keys);
+  a.row_ptr_ = std::move(row_ptr);
+  a.col_idx_ = std::move(col_idx);
+  a.val_ = std::move(val);
+  a.check_canonical("from_csr");
+  return a;
+}
+
+void AssocArray::check_canonical(std::string_view who) const {
+  const auto fail_unless = [who](bool ok, const char* what) {
+    OBSCORR_REQUIRE(ok, std::string(who) + ": " + what);
+  };
+  fail_unless(row_ptr_.size() == row_keys_.size() + 1,
+              "row offsets must number one more than the row keys");
+  fail_unless(val_.size() == col_idx_.size(), "values and column indices differ in length");
+  for (std::size_t i = 1; i < row_keys_.size(); ++i) {
+    fail_unless(row_keys_[i - 1] < row_keys_[i], "row keys must be strictly increasing");
+  }
+  for (std::size_t i = 1; i < col_keys_.size(); ++i) {
+    fail_unless(col_keys_[i - 1] < col_keys_[i], "col keys must be strictly increasing");
+  }
+  // Offsets cover [0, nnz] with no empty rows, column indices sorted
+  // unique within each row, and every column key referenced at least
+  // once. Each offset is bounded by nnz before the row's scan reads
+  // col_idx_ through it.
+  const std::uint64_t nnz = col_idx_.size();
+  fail_unless(row_ptr_.front() == 0 && row_ptr_.back() == nnz, "inconsistent row offsets");
+  std::vector<bool> col_used(col_keys_.size(), false);
+  for (std::size_t r = 0; r < row_keys_.size(); ++r) {
+    fail_unless(row_ptr_[r] < row_ptr_[r + 1], "row offsets must be strictly increasing");
+    fail_unless(row_ptr_[r + 1] <= nnz, "row offset exceeds the entry count");
+    for (std::uint64_t k = row_ptr_[r]; k < row_ptr_[r + 1]; ++k) {
+      fail_unless(col_idx_[k] < col_keys_.size(), "column index out of range");
+      fail_unless(k == row_ptr_[r] || col_idx_[k - 1] < col_idx_[k],
+                  "column indices must be strictly increasing within a row");
+      col_used[col_idx_[k]] = true;
+    }
+  }
+  for (std::size_t c = 0; c < col_used.size(); ++c) {
+    fail_unless(col_used[c], "unused column key");
+  }
+}
+
 AssocArray AssocArray::from_column(std::span<const std::string> row_keys,
                                    std::span<const double> values, std::string col_key) {
   OBSCORR_REQUIRE(row_keys.size() == values.size(),
@@ -327,11 +376,7 @@ std::vector<std::string> read_keys(SpanCursor& c, const char* what) {
   for (std::uint64_t i = 0; i < count; ++i) {
     const auto len = c.pod<std::uint32_t>();
     OBSCORR_REQUIRE(len <= (1u << 20), "read_binary: implausible key length");
-    const std::string_view key(c.take(len), len);
-    // Canonical form: strictly increasing keys (sorted, no duplicates).
-    OBSCORR_REQUIRE(keys.empty() || std::string_view(keys.back()) < key,
-                    std::string("read_binary: ") + what + " keys must be strictly increasing");
-    keys.emplace_back(key);
+    keys.emplace_back(c.take(len), len);
   }
   return keys;
 }
@@ -382,29 +427,7 @@ AssocArray AssocArray::read_binary(std::span<const std::byte> bytes) {
   a.col_idx_ = read_pod_array<std::uint32_t>(c, static_cast<std::size_t>(nnz));
   a.val_ = read_pod_array<double>(c, static_cast<std::size_t>(nnz));
   OBSCORR_REQUIRE(c.remaining() == 0, "read_binary: trailing bytes after array");
-
-  // Canonical-form contract: offsets cover [0, nnz] with no empty rows,
-  // column indices sorted unique within each row, and every column key
-  // referenced at least once.
-  OBSCORR_REQUIRE(a.row_ptr_.front() == 0 && a.row_ptr_.back() == nnz,
-                  "read_binary: inconsistent row offsets");
-  std::vector<bool> col_used(a.col_keys_.size(), false);
-  for (std::size_t r = 0; r < a.row_keys_.size(); ++r) {
-    OBSCORR_REQUIRE(a.row_ptr_[r] < a.row_ptr_[r + 1],
-                    "read_binary: row offsets must be strictly increasing");
-    OBSCORR_REQUIRE(a.row_ptr_[r + 1] <= nnz,
-                    "read_binary: row offset exceeds the entry count");
-    for (std::uint64_t k = a.row_ptr_[r]; k < a.row_ptr_[r + 1]; ++k) {
-      OBSCORR_REQUIRE(a.col_idx_[k] < a.col_keys_.size(),
-                      "read_binary: column index out of range");
-      OBSCORR_REQUIRE(k == a.row_ptr_[r] || a.col_idx_[k - 1] < a.col_idx_[k],
-                      "read_binary: column indices must be strictly increasing within a row");
-      col_used[a.col_idx_[k]] = true;
-    }
-  }
-  for (std::size_t c = 0; c < col_used.size(); ++c) {
-    OBSCORR_REQUIRE(col_used[c], "read_binary: unused column key");
-  }
+  a.check_canonical("read_binary");
   return a;
 }
 

@@ -14,6 +14,7 @@
 /// numeric. Intersection of observatories then reduces to element-wise
 /// multiplication — pure associative-array algebra.
 
+#include <cstdint>
 #include <functional>
 #include <iosfwd>
 #include <span>
@@ -42,6 +43,18 @@ class AssocArray {
   /// Build from triples; duplicate (row, col) values are summed
   /// (GraphBLAS "plus" accumulation, the D4M default).
   static AssocArray from_triples(std::vector<Triple> triples);
+
+  /// Adopt arrays that are already in canonical CSR form: strictly
+  /// increasing row and column keys, `row_ptr` of size rows + 1 running
+  /// from 0 to nnz with no empty row, column indices strictly increasing
+  /// within each row, every column key referenced, and `col_idx` / `val`
+  /// of equal length. The fast path for producers that emit sorted rows
+  /// (honeyfarm months); the same validator guards `read_binary`, so a
+  /// malformed input throws std::invalid_argument instead of building an
+  /// array the lookups would misread.
+  static AssocArray from_csr(std::vector<std::string> row_keys, std::vector<std::string> col_keys,
+                             std::vector<std::uint64_t> row_ptr,
+                             std::vector<std::uint32_t> col_idx, std::vector<double> val);
 
   /// Build a one-column array mapping each key to a value — the shape of
   /// a reduced GraphBLAS result (e.g. source -> packet count).
@@ -129,6 +142,10 @@ class AssocArray {
   friend bool operator==(const AssocArray&, const AssocArray&) = default;
 
  private:
+  /// The canonical-form contract shared by `from_csr` and `read_binary`;
+  /// throws std::invalid_argument naming `who` on the first violation.
+  void check_canonical(std::string_view who) const;
+
   std::vector<std::string> row_keys_;
   std::vector<std::string> col_keys_;
   std::vector<std::uint64_t> row_ptr_;  // size row_keys_.size() + 1

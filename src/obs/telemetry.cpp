@@ -45,6 +45,7 @@ constexpr const char* kCanonicalCounters[] = {
     "netgen.valid_packets",
     "netgen.windows_planned",
     "simd.dispatch_codec",
+    "simd.dispatch_cryptopan",
     "simd.dispatch_ingest",
     "simd.dispatch_merge",
     "simd.dispatch_radix",

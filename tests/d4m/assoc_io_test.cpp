@@ -160,5 +160,80 @@ TEST(AssocBinaryTest, NonCanonicalStreamsRejected) {
   }
 }
 
+/// CSR arrays for `AssocArray::from_csr`, canonical until a test breaks
+/// one invariant: rows "a" {c1: 1, c2: 2}, "b" {c2: 3}.
+struct Csr {
+  std::vector<std::string> row_keys{"a", "b"};
+  std::vector<std::string> col_keys{"c1", "c2"};
+  std::vector<std::uint64_t> row_ptr{0, 2, 3};
+  std::vector<std::uint32_t> col_idx{0, 1, 1};
+  std::vector<double> val{1.0, 2.0, 3.0};
+
+  AssocArray build() const { return AssocArray::from_csr(row_keys, col_keys, row_ptr, col_idx, val); }
+};
+
+TEST(AssocBinaryTest, FromCsrAdoptsCanonicalArrays) {
+  EXPECT_TRUE(Csr{}.build() ==
+              AssocArray::from_triples({{"a", "c1", 1.0}, {"a", "c2", 2.0}, {"b", "c2", 3.0}}));
+  EXPECT_TRUE(AssocArray::from_csr({}, {}, {0}, {}, {}) == AssocArray());
+  expect_round_trip(Csr{}.build());
+}
+
+TEST(AssocBinaryTest, FromCsrRejectsUnsortedOrDuplicateRowKeys) {
+  Csr unsorted;
+  unsorted.row_keys = {"b", "a"};
+  EXPECT_THROW(unsorted.build(), std::invalid_argument);
+  Csr duplicate;
+  duplicate.row_keys = {"a", "a"};
+  EXPECT_THROW(duplicate.build(), std::invalid_argument);
+  Csr cols;
+  cols.col_keys = {"c2", "c1"};
+  EXPECT_THROW(cols.build(), std::invalid_argument);
+}
+
+TEST(AssocBinaryTest, FromCsrRejectsEmptyRow) {
+  Csr empty;
+  empty.row_keys = {"a", "b", "c"};
+  empty.row_ptr = {0, 2, 2, 3};  // "b" has no entries
+  EXPECT_THROW(empty.build(), std::invalid_argument);
+  Csr past_end;
+  past_end.row_ptr = {0, 7, 3};  // offset beyond nnz, front and back intact
+  EXPECT_THROW(past_end.build(), std::invalid_argument);
+}
+
+TEST(AssocBinaryTest, FromCsrRejectsUnsortedColumnIndices) {
+  Csr unsorted;
+  unsorted.col_idx = {1, 0, 1};
+  EXPECT_THROW(unsorted.build(), std::invalid_argument);
+  Csr repeated;
+  repeated.col_idx = {1, 1, 1};  // also leaves c1 unused
+  EXPECT_THROW(repeated.build(), std::invalid_argument);
+  Csr out_of_range;
+  out_of_range.col_idx = {0, 2, 1};
+  EXPECT_THROW(out_of_range.build(), std::invalid_argument);
+}
+
+TEST(AssocBinaryTest, FromCsrRejectsUnusedColumnKey) {
+  Csr unused;
+  unused.col_keys = {"c1", "c2", "c3"};
+  EXPECT_THROW(unused.build(), std::invalid_argument);
+}
+
+TEST(AssocBinaryTest, FromCsrRejectsMismatchedSizes) {
+  Csr short_values;
+  short_values.val = {1.0, 2.0};
+  EXPECT_THROW(short_values.build(), std::invalid_argument);
+  Csr short_offsets;
+  short_offsets.row_ptr = {0, 3};
+  EXPECT_THROW(short_offsets.build(), std::invalid_argument);
+  Csr long_offsets;
+  long_offsets.row_ptr = {0, 1, 2, 3};
+  EXPECT_THROW(long_offsets.build(), std::invalid_argument);
+  Csr bad_total;
+  bad_total.row_ptr = {0, 2, 4};  // back() must equal nnz
+  EXPECT_THROW(bad_total.build(), std::invalid_argument);
+  EXPECT_THROW(AssocArray::from_csr({}, {}, {}, {}, {}), std::invalid_argument);
+}
+
 }  // namespace
 }  // namespace obscorr::d4m

@@ -268,6 +268,7 @@ TEST_F(TelemetryExportTest, MetricsJsonSchemaAndCanonicalCatalogue) {
       "netgen.valid_packets",
       "netgen.windows_planned",
       "simd.dispatch_codec",
+      "simd.dispatch_cryptopan",
       "simd.dispatch_ingest",
       "simd.dispatch_merge",
       "simd.dispatch_radix",

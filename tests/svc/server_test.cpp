@@ -22,6 +22,7 @@
 #include <cstring>
 #include <filesystem>
 #include <functional>
+#include <latch>
 #include <optional>
 #include <sstream>
 #include <stdexcept>
@@ -570,8 +571,26 @@ TEST(SvcServerTest, WatchDeliversEveryWindowExactlyOnceWithAnomalies) {
   icfg.surge_start = 8;
   icfg.surge_len = 2;
   icfg.surge_factor = 8.0;
-  icfg.on_publish = monitor_publisher(server, monitor);
+  // Ingest holds after publishing the third window until the late
+  // watcher below has its ack, so that watcher subscribes mid-stream
+  // however fast the windows are captured. The guard releases the hold
+  // on every exit path, failed assertions included.
+  std::latch late_subscribed(1);
+  const auto publish = monitor_publisher(server, monitor);
+  icfg.on_publish = [&publish, &late_subscribed](const PublishedWindow& pw) {
+    publish(pw);
+    if (pw.meta.window == 2) late_subscribed.wait();
+  };
   IngestLoop ingest(dir, engine, pool, icfg);
+  struct ReleaseIngest {
+    std::latch& latch;
+    bool released = false;
+    void release() {
+      if (!released) latch.count_down();
+      released = true;
+    }
+    ~ReleaseIngest() { release(); }
+  } release_ingest{late_subscribed};
   ingest.start();
 
   // Churn: watchers that subscribe and immediately vanish, mid-stream.
@@ -588,6 +607,7 @@ TEST(SvcServerTest, WatchDeliversEveryWindowExactlyOnceWithAnomalies) {
   Client late(server.port(), /*timeout_sec=*/30.0);
   ASSERT_TRUE(late.connected());
   const auto late_ack = late.query(R"({"id":2,"query":"watch"})");
+  release_ingest.release();
   ASSERT_TRUE(late_ack.has_value());
   const std::uint64_t late_windows = late_ack->find("result")->find("windows")->as_uint();
   EXPECT_GE(late_windows, 3u);
