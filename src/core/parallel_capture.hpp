@@ -9,17 +9,26 @@
 /// `ShardCapture` contexts, and the per-context matrices are summed in
 /// run order. Because the matrix is an exact integer aggregation of the
 /// shard packet multisets, the result is byte-identical at every thread
-/// count — and, for single-shard windows (<= 2^16 valid packets), to the
-/// historical serial capture.
+/// count and every window size. Shard 0 is the unsharded stream, so a
+/// single-shard window (<= 2^16 valid packets) reproduces the historical
+/// serial capture.
 
 #include <cstdint>
 
 #include "common/thread_pool.hpp"
 #include "gbl/dcsr.hpp"
+#include "netgen/scenario.hpp"
 #include "netgen/traffic.hpp"
 #include "telescope/telescope.hpp"
 
 namespace obscorr::core {
+
+/// The telescope a scenario is observed through: the scenario's
+/// darkspace and legitimate-source prefix, and a CryptoPAN key derived
+/// from its seed. Every capture of one scenario (campaign, window
+/// series, scaling ladder, trace replay, live ingest) uses this config,
+/// so all of them anonymize alike.
+telescope::TelescopeConfig telescope_config(const netgen::Scenario& scenario);
 
 /// Capture one constant-packet window of `valid_count` valid packets in
 /// study month `month` through `scope`. Returns the window's anonymized

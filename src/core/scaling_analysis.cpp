@@ -44,10 +44,7 @@ ScalingAnalysis scaling_analysis(const netgen::Scenario& scenario,
                   "scaling_analysis: ladder far beyond the scenario scale");
 
   const netgen::TrafficGenerator generator(population, scenario.traffic);
-  telescope::TelescopeConfig cfg;
-  cfg.darkspace = scenario.traffic.darkspace;
-  cfg.legit_prefixes = {scenario.traffic.legit_prefix};
-  cfg.cryptopan_seed = scenario.population.seed ^ 0xCA1DAULL;
+  const telescope::TelescopeConfig cfg = telescope_config(scenario);
 
   // Ladder rungs are independent windows: run them as pool tasks into
   // pre-sized slots, each through its own telescope instance.

@@ -15,29 +15,20 @@ namespace obscorr::core {
 
 namespace {
 
-telescope::TelescopeConfig scope_config_for(const netgen::Scenario& scenario) {
-  telescope::TelescopeConfig config;
-  config.darkspace = scenario.traffic.darkspace;
-  config.legit_prefixes = {scenario.traffic.legit_prefix};
-  config.cryptopan_seed = scenario.population.seed ^ 0xCA1DAULL;
-  return config;
-}
-
 SnapshotData take_snapshot(const netgen::Scenario& scenario, const netgen::Population& population,
-                           const netgen::CaidaSnapshotSpec& spec, telescope::Telescope& scope,
-                           ThreadPool& pool) {
+                           const netgen::CaidaSnapshotSpec& spec, ThreadPool& pool) {
   const obs::Span span("study.snapshot", [&] { return spec.start_label; });
   SnapshotData snap;
   snap.spec = spec;
   snap.month_index = scenario.month_index(spec.month);
   snap.duration_sec = scenario.scaled_duration_sec(spec);
 
+  telescope::Telescope scope(telescope_config(scenario), pool);
   const netgen::TrafficGenerator generator(population, scenario.traffic);
-  const std::uint64_t before_discarded = scope.discarded_packets();
   snap.matrix =
       capture_window(scope, generator, snap.month_index, scenario.nv(), spec.salt, pool);
   snap.valid_packets = static_cast<std::uint64_t>(snap.matrix.reduce_sum());
-  snap.discarded_packets = scope.discarded_packets() - before_discarded;
+  snap.discarded_packets = scope.discarded_packets();
   OBSCORR_INVARIANT(snap.valid_packets == scenario.nv());
 
   snap.source_packets = snap.matrix.reduce_rows();
@@ -86,23 +77,15 @@ StudyData run_impl(const netgen::Scenario& scenario, ThreadPool& pool, bool with
 
   // Snapshots and honeyfarm months are independent observations of the
   // same (now read-only) world: run them as pool tasks into pre-sized
-  // slots. Each chunk captures its snapshots through one Telescope —
-  // CryptoPAN is a pure function of the key, so per-chunk instances
-  // produce the very bytes the historical shared instance did, while
-  // reuse within a chunk keeps the anonymization memo warm across
-  // consecutive snapshots (on a 1-thread pool the single inline chunk
-  // recovers the old one-scope-for-the-whole-study behavior exactly).
+  // slots.
   parallel_for(pool, 0, n_snapshots + n_months, [&](std::size_t b, std::size_t e) {
-    std::optional<telescope::Telescope> scope;
     for (std::size_t i = b; i < e; ++i) {
       // Cooperative stop between observations, never mid-frame: a
       // SIGINT/SIGTERM skips the remaining windows and run_impl throws a
       // clean diagnostic below instead of returning a partial study.
       if (interrupt::stop_requested()) continue;
       if (i < n_snapshots) {
-        if (!scope) scope.emplace(scope_config_for(scenario), pool);
-        study.snapshots[i] =
-            take_snapshot(scenario, population, scenario.snapshots[i], *scope, pool);
+        study.snapshots[i] = take_snapshot(scenario, population, scenario.snapshots[i], pool);
       } else {
         const std::size_t m = i - n_snapshots;
         const obs::Span month_span("study.month", [&] { return std::to_string(m); });
@@ -130,8 +113,7 @@ SnapshotData run_snapshot(const netgen::Scenario& scenario, const netgen::Popula
                           std::size_t snapshot_index, ThreadPool& pool) {
   OBSCORR_REQUIRE(snapshot_index < scenario.snapshots.size(),
                   "run_snapshot: snapshot index out of range");
-  telescope::Telescope scope(scope_config_for(scenario), pool);
-  return take_snapshot(scenario, population, scenario.snapshots[snapshot_index], scope, pool);
+  return take_snapshot(scenario, population, scenario.snapshots[snapshot_index], pool);
 }
 
 honeyfarm::MonthlyObservation run_month(const netgen::Scenario& scenario,

@@ -55,10 +55,10 @@ StudyData run_study(const netgen::Scenario& scenario, ThreadPool& pool);
 StudyData run_telescope_only(const netgen::Scenario& scenario, ThreadPool& pool);
 
 /// Run one telescope snapshot of the campaign against a prebuilt
-/// population. Bit-identical to `run_study(...).snapshots[index]`:
-/// CryptoPAN is a pure function of its key and the deanonymization
-/// dictionary is rebuilt per window, so snapshots are independent. This
-/// is the resume granularity of the study archive.
+/// population. Bit-identical to `run_study(...).snapshots[index]`: both
+/// capture every snapshot through its own fresh telescope (CryptoPAN is
+/// a pure function of its key), so snapshots are independent. This is
+/// the resume granularity of the study archive.
 SnapshotData run_snapshot(const netgen::Scenario& scenario, const netgen::Population& population,
                           std::size_t snapshot_index, ThreadPool& pool);
 

@@ -16,11 +16,7 @@ WindowSeries intra_month_series(const netgen::Scenario& scenario, int month, int
   OBSCORR_REQUIRE(n_windows >= 2, "intra_month_series: need at least two windows");
   const netgen::Population population(scenario.population);
   const netgen::TrafficGenerator generator(population, scenario.traffic);
-
-  telescope::TelescopeConfig cfg;
-  cfg.darkspace = scenario.traffic.darkspace;
-  cfg.legit_prefixes = {scenario.traffic.legit_prefix};
-  cfg.cryptopan_seed = scenario.population.seed ^ 0xCA1DAULL;
+  const telescope::TelescopeConfig cfg = telescope_config(scenario);
 
   // Windows are independent given the (read-only) population: run them
   // as pool tasks into pre-sized slots, each through its own telescope

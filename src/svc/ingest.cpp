@@ -7,6 +7,7 @@
 #include "archive/live_archive.hpp"
 #include "common/error.hpp"
 #include "common/interrupt.hpp"
+#include "core/parallel_capture.hpp"
 #include "netgen/traffic.hpp"
 #include "obs/span.hpp"
 #include "obs/telemetry.hpp"
@@ -44,15 +45,7 @@ void IngestLoop::run() {
 
     const netgen::Population population(scenario.population);
     const netgen::TrafficGenerator generator(population, scenario.traffic);
-    // Same instrument configuration as the batch campaign (the
-    // cryptopan seed derivation must match tools/commands.cpp
-    // scope_config, or live matrices would anonymize differently than
-    // the archived snapshots).
-    telescope::TelescopeConfig scope_cfg;
-    scope_cfg.darkspace = scenario.traffic.darkspace;
-    scope_cfg.legit_prefixes = {scenario.traffic.legit_prefix};
-    scope_cfg.cryptopan_seed = scenario.population.seed ^ 0xCA1DAULL;
-    telescope::Telescope scope(scope_cfg, pool_);
+    telescope::Telescope scope(core::telescope_config(scenario), pool_);
 
     while (!stop_.load(std::memory_order_relaxed) && !interrupt::stop_requested() &&
            published_.load(std::memory_order_relaxed) < config_.max_windows) {

@@ -25,7 +25,7 @@ void flush_capture_counters(std::uint64_t valid, std::uint64_t discarded, std::u
   cache_misses.add(misses);
 }
 
-/// How many packets ahead the capture loops prefetch anon-cache probe
+/// How many packets ahead the capture loop prefetches anon-cache probe
 /// slots. Deep enough to cover the table's DRAM latency with the work on
 /// the packets in between, shallow enough to stay inside every batch.
 constexpr std::size_t kCachePrefetchAhead = 8;
@@ -35,7 +35,7 @@ constexpr std::size_t kCachePrefetchAhead = 8;
 Telescope::Telescope(TelescopeConfig config, ThreadPool& pool)
     : config_(std::move(config)),
       cryptopan_(crypt::CryptoPan::from_seed(config_.cryptopan_seed)),
-      accumulator_(config_.block_log2, pool) {}
+      state_(config_.block_log2, pool) {}
 
 bool Telescope::is_valid(const Packet& packet) const {
   if (!config_.darkspace.contains(packet.dst)) return false;
@@ -45,73 +45,64 @@ bool Telescope::is_valid(const Packet& packet) const {
   return true;
 }
 
-bool Telescope::capture(const Packet& packet) {
-  if (!is_valid(packet)) {
-    ++discarded_;
-    return false;
-  }
-  const std::uint32_t src = anonymize_value(packet.src.value());
-  const std::uint32_t dst = anonymize_value(packet.dst.value());
-  accumulator_.add_packet(src, dst);
-  return true;
+std::uint32_t Telescope::anonymize_into(WindowState& state, std::uint32_t addr) const {
+  if (const std::uint32_t* hit = state.anon_cache.find(addr)) return *hit;
+  const std::uint32_t anon = cryptopan_.anonymize(Ipv4(addr)).value();
+  state.anon_cache.insert(addr, anon);
+  state.dictionary.emplace(anon, addr);
+  return anon;
 }
 
-std::uint64_t Telescope::capture_block(std::span<const Packet> packets) {
-  batch_keys_.clear();
-  batch_keys_.reserve(packets.size());
-  std::uint64_t discarded = 0, hits = 0, misses = 0;
-  const auto anonymize = [&](std::uint32_t addr) {
-    if (const std::uint32_t* hit = anon_cache_.find(addr)) {
-      ++hits;
-      return *hit;
-    }
-    ++misses;
-    const std::uint32_t anon = cryptopan_.anonymize(Ipv4(addr)).value();
-    anon_cache_.insert(addr, anon);
-    dictionary_.emplace(anon, addr);
-    return anon;
-  };
+std::uint64_t Telescope::capture_into(WindowState& state, std::span<const Packet> packets) const {
+  state.batch_keys.clear();
+  state.batch_keys.reserve(packets.size());
+  // Every memo miss inserts exactly one entry, so the memo's growth is
+  // the miss count and the loop itself counts nothing.
+  const std::size_t memo_before = state.anon_cache.size();
+  std::uint64_t discarded = 0;
   for (std::size_t i = 0; i < packets.size(); ++i) {
     if (i + kCachePrefetchAhead < packets.size()) {
       const Packet& ahead = packets[i + kCachePrefetchAhead];
-      anon_cache_.prefetch(ahead.src.value());
-      anon_cache_.prefetch(ahead.dst.value());
+      state.anon_cache.prefetch(ahead.src.value());
+      state.anon_cache.prefetch(ahead.dst.value());
     }
     const Packet& p = packets[i];
     if (!is_valid(p)) {
       ++discarded;
       continue;
     }
-    const std::uint32_t src = anonymize(p.src.value());
-    const std::uint32_t dst = anonymize(p.dst.value());
-    batch_keys_.push_back(gbl::pack_key(src, dst));
+    const std::uint32_t src = anonymize_into(state, p.src.value());
+    const std::uint32_t dst = anonymize_into(state, p.dst.value());
+    state.batch_keys.push_back(gbl::pack_key(src, dst));
   }
-  discarded_ += discarded;
-  accumulator_.add_packets(batch_keys_);
-  flush_capture_counters(batch_keys_.size(), discarded, hits, misses);
-  return batch_keys_.size();
+  state.discarded += discarded;
+  state.accumulator.add_packets(state.batch_keys);
+  const std::uint64_t valid = state.batch_keys.size();
+  const std::uint64_t misses = state.anon_cache.size() - memo_before;
+  flush_capture_counters(valid, discarded, 2 * valid - misses, misses);
+  return valid;
+}
+
+bool Telescope::capture(const Packet& packet) {
+  return capture_into(state_, std::span<const Packet>(&packet, 1)) == 1;
+}
+
+std::uint64_t Telescope::capture_block(std::span<const Packet> packets) {
+  return capture_into(state_, packets);
 }
 
 gbl::DcsrMatrix Telescope::finish_window() {
   static obs::Counter& merge_ns = obs::counter("telescope.merge_ns");
   const obs::Span span("telescope.finish_window");
   const obs::ScopedNsCounter merge_time(merge_ns);
-  return accumulator_.finish();
+  return state_.accumulator.finish();
 }
 
-std::uint32_t Telescope::anonymize_value(std::uint32_t addr) const {
-  if (const std::uint32_t* hit = anon_cache_.find(addr)) return *hit;
-  const std::uint32_t anon = cryptopan_.anonymize(Ipv4(addr)).value();
-  anon_cache_.insert(addr, anon);
-  dictionary_.emplace(anon, addr);
-  return anon;
-}
-
-Ipv4 Telescope::anonymize(Ipv4 addr) const { return Ipv4(anonymize_value(addr.value())); }
+Ipv4 Telescope::anonymize(Ipv4 addr) const { return Ipv4(anonymize_into(state_, addr.value())); }
 
 Ipv4 Telescope::deanonymize(Ipv4 anon) const {
-  const auto it = dictionary_.find(anon.value());
-  OBSCORR_REQUIRE(it != dictionary_.end(),
+  const auto it = state_.dictionary.find(anon.value());
+  OBSCORR_REQUIRE(it != state_.dictionary.end(),
                   "deanonymize: id never produced by this telescope: " + anon.to_string());
   return Ipv4(it->second);
 }
@@ -125,54 +116,18 @@ Ipv4Prefix Telescope::anonymized_darkspace() const {
 
 void Telescope::absorb(ShardCapture&& shard) {
   OBSCORR_REQUIRE(shard.scope_ == this, "absorb: shard belongs to a different telescope");
-  discarded_ += shard.discarded_;
-  dictionary_.merge(shard.dictionary_);
+  state_.discarded += shard.state_.discarded;
+  state_.dictionary.merge(shard.state_.dictionary);
 }
 
 ShardCapture::ShardCapture(const Telescope& scope, ThreadPool& pool)
-    : scope_(&scope), accumulator_(scope.config_.block_log2, pool) {}
-
-std::uint64_t ShardCapture::capture_block(std::span<const Packet> packets) {
-  batch_keys_.clear();
-  batch_keys_.reserve(packets.size());
-  std::uint64_t discarded = 0, hits = 0, misses = 0;
-  const auto anonymize = [&](std::uint32_t addr) {
-    if (const std::uint32_t* hit = anon_cache_.find(addr)) {
-      ++hits;
-      return *hit;
-    }
-    ++misses;
-    const std::uint32_t anon = scope_->cryptopan_.anonymize(Ipv4(addr)).value();
-    anon_cache_.insert(addr, anon);
-    dictionary_.emplace(anon, addr);
-    return anon;
-  };
-  for (std::size_t i = 0; i < packets.size(); ++i) {
-    if (i + kCachePrefetchAhead < packets.size()) {
-      const Packet& ahead = packets[i + kCachePrefetchAhead];
-      anon_cache_.prefetch(ahead.src.value());
-      anon_cache_.prefetch(ahead.dst.value());
-    }
-    const Packet& p = packets[i];
-    if (!scope_->is_valid(p)) {
-      ++discarded;
-      continue;
-    }
-    const std::uint32_t src = anonymize(p.src.value());
-    const std::uint32_t dst = anonymize(p.dst.value());
-    batch_keys_.push_back(gbl::pack_key(src, dst));
-  }
-  discarded_ += discarded;
-  accumulator_.add_packets(batch_keys_);
-  flush_capture_counters(batch_keys_.size(), discarded, hits, misses);
-  return batch_keys_.size();
-}
+    : scope_(&scope), state_(scope.config_.block_log2, pool) {}
 
 gbl::DcsrMatrix ShardCapture::finish() {
   static obs::Counter& merge_ns = obs::counter("telescope.merge_ns");
   const obs::Span span("telescope.shard_finish");
   const obs::ScopedNsCounter merge_time(merge_ns);
-  return accumulator_.finish();
+  return state_.accumulator.finish();
 }
 
 }  // namespace obscorr::telescope

@@ -55,7 +55,8 @@ class Telescope {
 
   const TelescopeConfig& config() const { return config_; }
 
-  /// Offer one packet; returns true when it was valid and captured.
+  /// Offer one packet; returns true when it was valid and captured. The
+  /// one-packet case of `capture_block`.
   bool capture(const Packet& packet);
 
   /// Offer a batch of packets: filter, anonymize (flat memoization
@@ -66,18 +67,18 @@ class Telescope {
   std::uint64_t capture_block(std::span<const Packet> packets);
 
   /// Valid packets captured in the current window.
-  std::uint64_t valid_packets() const { return accumulator_.packets(); }
+  std::uint64_t valid_packets() const { return state_.accumulator.packets(); }
 
   /// Packets discarded by the validity filter so far (across windows).
-  std::uint64_t discarded_packets() const { return discarded_; }
+  std::uint64_t discarded_packets() const { return state_.discarded; }
 
   /// Deanonymization-dictionary entries (anon -> original) accumulated
   /// so far — the trusted-exchange state the paper's sharing framework
   /// rests on. Persists across windows, grows monotonically.
-  std::size_t dictionary_entries() const { return dictionary_.size(); }
+  std::size_t dictionary_entries() const { return state_.dictionary.size(); }
 
   /// Distinct addresses memoized by the anonymization cache.
-  std::size_t anon_cache_entries() const { return anon_cache_.size(); }
+  std::size_t anon_cache_entries() const { return state_.anon_cache.size(); }
 
   /// Close the window: the anonymized ext->int traffic matrix. Resets
   /// the window state; the anonymization dictionary persists.
@@ -106,16 +107,28 @@ class Telescope {
  private:
   friend class ShardCapture;
 
+  /// What one capture context accumulates: the telescope's own window
+  /// and every `ShardCapture` hold one each.
+  struct WindowState {
+    WindowState(int block_log2, ThreadPool& pool) : accumulator(block_log2, pool) {}
+
+    gbl::HierarchicalAccumulator accumulator;
+    std::uint64_t discarded = 0;
+    AnonCache anon_cache;  // original -> anon (hot, flat open addressing)
+    std::unordered_map<std::uint32_t, std::uint32_t> dictionary;  // anon -> original
+    mem::PoolVec<std::uint64_t> batch_keys;  // capture scratch (pool-recycled)
+  };
+
   bool is_valid(const Packet& packet) const;
-  std::uint32_t anonymize_value(std::uint32_t addr) const;
+  /// The filter/anonymize/accumulate loop behind every capture entry point.
+  std::uint64_t capture_into(WindowState& state, std::span<const Packet> packets) const;
+  /// Memoized CryptoPAN: a miss anonymizes `addr` and records it in the
+  /// memo and the deanonymization dictionary of `state`.
+  std::uint32_t anonymize_into(WindowState& state, std::uint32_t addr) const;
 
   TelescopeConfig config_;
   crypt::CryptoPan cryptopan_;
-  gbl::HierarchicalAccumulator accumulator_;
-  std::uint64_t discarded_ = 0;
-  mutable AnonCache anon_cache_;  // original -> anon (hot, flat open addressing)
-  mutable std::unordered_map<std::uint32_t, std::uint32_t> dictionary_;  // anon -> original
-  mem::PoolVec<std::uint64_t> batch_keys_;  // capture_block scratch (pool-recycled)
+  mutable WindowState state_;  // mutable: `anonymize` memoizes through const
 };
 
 /// Capture context for one generation shard (or a worker's run of
@@ -134,13 +147,15 @@ class ShardCapture {
 
   /// Filter, anonymize, and accumulate a batch; returns valid packets.
   /// Same semantics as `Telescope::capture_block`, against shard state.
-  std::uint64_t capture_block(std::span<const Packet> packets);
+  std::uint64_t capture_block(std::span<const Packet> packets) {
+    return scope_->capture_into(state_, packets);
+  }
 
   /// Valid packets captured by this shard context so far.
-  std::uint64_t valid_packets() const { return accumulator_.packets(); }
+  std::uint64_t valid_packets() const { return state_.accumulator.packets(); }
 
   /// Packets discarded by the validity filter in this shard context.
-  std::uint64_t discarded_packets() const { return discarded_; }
+  std::uint64_t discarded_packets() const { return state_.discarded; }
 
   /// Collapse this context's accumulator into its shard matrix.
   gbl::DcsrMatrix finish();
@@ -149,11 +164,7 @@ class ShardCapture {
   friend class Telescope;
 
   const Telescope* scope_;
-  gbl::HierarchicalAccumulator accumulator_;
-  std::uint64_t discarded_ = 0;
-  AnonCache anon_cache_;
-  std::unordered_map<std::uint32_t, std::uint32_t> dictionary_;
-  mem::PoolVec<std::uint64_t> batch_keys_;  // capture_block scratch (pool-recycled)
+  Telescope::WindowState state_;
 };
 
 }  // namespace obscorr::telescope

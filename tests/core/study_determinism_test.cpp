@@ -31,9 +31,10 @@ void expect_same_snapshots(const StudyData& a, const StudyData& b, const char* l
 }
 
 TEST(StudyDeterminismTest, MultiShardSnapshotsAreByteIdenticalAcrossThreadCounts) {
-  // 2^17 valid packets = 2 generation shards per window: the sharded
-  // merge path runs even on the 1-thread pool. Two snapshots keep the
-  // test fast while still covering the concurrent-windows fan-out.
+  // 2^17 valid packets = 2 generation shards per window: the 1-thread
+  // pool captures both shards in one chunk, the 2- and 7-thread pools in
+  // one chunk each, merged with ewise_add. Two snapshots keep the test
+  // fast while still covering the concurrent-windows fan-out.
   netgen::Scenario scenario = netgen::Scenario::paper(/*log2_nv=*/17, /*seed=*/42);
   scenario.snapshots.resize(2);
   ASSERT_GT(scenario.nv(), netgen::TrafficGenerator::kShardValidPackets);

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "common/prng.hpp"
+#include "obs/telemetry.hpp"
 
 namespace obscorr::telescope {
 namespace {
@@ -76,6 +77,41 @@ TEST(TelescopeTest, CaptureBlockMatchesPerPacketCapture) {
   EXPECT_EQ(batched.valid_packets(), per_packet.valid_packets());
   EXPECT_EQ(batched.discarded_packets(), per_packet.discarded_packets());
   EXPECT_EQ(batched.finish_window(), per_packet.finish_window());
+}
+
+TEST(TelescopeTest, PerPacketCaptureFlushesTelemetryCounters) {
+  // Per-packet capture (trace replay, live ingest) must be as visible to
+  // telemetry as batched capture: the telescope.* counters equal the
+  // scope's own tallies, and every valid packet makes two memo lookups.
+  obs::reset();
+  obs::set_level(obs::Level::kCounters);
+  ThreadPool pool(2);
+  Telescope scope(small_config(), pool);
+  Rng rng(17);
+  for (int i = 0; i < 3000; ++i) {
+    // Repeating sources and destinations give the memo hits as well as misses.
+    const Ipv4 src = (i % 9 == 0) ? Ipv4(10, 0, 0, 7)
+                                  : Ipv4(Ipv4(1, 0, 0, 0).value() +
+                                         static_cast<std::uint32_t>(rng.uniform_u64(400)));
+    const Ipv4 dst = (i % 13 == 0) ? Ipv4(78, 0, 0, 1)
+                                   : Ipv4(Ipv4(77, 0, 0, 0).value() |
+                                          static_cast<std::uint32_t>(rng.uniform_u64(300)));
+    scope.capture({src, dst});
+  }
+  const std::uint64_t counted_valid = obs::counter("telescope.valid_packets").value();
+  const std::uint64_t counted_discarded = obs::counter("telescope.discarded_packets").value();
+  const std::uint64_t hits = obs::counter("telescope.anon_cache_hits").value();
+  const std::uint64_t misses = obs::counter("telescope.anon_cache_misses").value();
+  obs::set_level(obs::Level::kOff);
+  obs::reset();
+
+  ASSERT_GT(scope.valid_packets(), 0u);
+  ASSERT_GT(scope.discarded_packets(), 0u);
+  EXPECT_EQ(counted_valid, scope.valid_packets());
+  EXPECT_EQ(counted_discarded, scope.discarded_packets());
+  EXPECT_GT(hits, 0u);
+  EXPECT_EQ(misses, scope.anon_cache_entries());
+  EXPECT_EQ(hits + misses, 2 * scope.valid_packets());
 }
 
 TEST(TelescopeTest, DeanonymizeInvertsObservedSources) {

@@ -21,6 +21,7 @@
 #include "common/table.hpp"
 #include "core/correlation.hpp"
 #include "core/degree_analysis.hpp"
+#include "core/parallel_capture.hpp"
 #include "core/prefix_analysis.hpp"
 #include "core/scaling_analysis.hpp"
 #include "core/study.hpp"
@@ -100,14 +101,6 @@ void cache_option(const CliArgs& args) {
 void reject_unused(const CliArgs& args) {
   const auto stray = args.unused();
   OBSCORR_REQUIRE(stray.empty(), "unknown option --" + (stray.empty() ? "" : stray.front()));
-}
-
-telescope::TelescopeConfig scope_config(const netgen::Scenario& scenario) {
-  telescope::TelescopeConfig cfg;
-  cfg.darkspace = scenario.traffic.darkspace;
-  cfg.legit_prefixes = {scenario.traffic.legit_prefix};
-  cfg.cryptopan_seed = scenario.population.seed ^ 0xCA1DAULL;
-  return cfg;
 }
 
 /// Materialize the observation series of an archived campaign — no
@@ -300,7 +293,7 @@ int cmd_capture(const std::vector<std::string>& args, std::ostream& out, std::os
 
   const auto scenario = netgen::Scenario::paper(c.log2_nv, c.seed);
   ThreadPool pool(threads);
-  telescope::Telescope scope(scope_config(scenario), pool);
+  telescope::Telescope scope(core::telescope_config(scenario), pool);
   const std::uint64_t replayed =
       telescope::replay_trace(*trace, [&](const Packet& p) { scope.capture(p); });
   const gbl::DcsrMatrix matrix = scope.finish_window();
