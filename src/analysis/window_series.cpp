@@ -1,5 +1,7 @@
 #include "analysis/window_series.hpp"
 
+#include <numeric>
+
 #include "common/error.hpp"
 #include "stats/summary.hpp"
 
@@ -94,10 +96,10 @@ WindowSample sample_from(const gbl::DcsrMatrix& matrix, std::span<const double> 
 }  // namespace
 
 WindowSample sample_snapshot(const archive::StudyReader& reader, std::size_t k) {
-  const core::SnapshotData snap = reader.snapshot(k, /*with_matrix=*/false);
+  const core::SnapshotData meta = reader.snapshot_meta(k);
+  const archive::StudyReader::SourcesRef sources = reader.sources(k);
   const gbl::DcsrMatrix matrix = reader.matrix(k).materialize();
-  return sample_from(matrix, snap.source_packets.values(), snap.discarded_packets,
-                     snap.duration_sec);
+  return sample_from(matrix, sources.counts, meta.discarded_packets, meta.duration_sec);
 }
 
 WindowSample sample_window(const archive::StudyReader& reader, std::size_t w) {
@@ -118,6 +120,20 @@ SeriesStore store_from_reader(const archive::StudyReader& reader, Domain domain)
       store.append(sample_window(reader, w));
     }
   }
+  return store;
+}
+
+SeriesStore store_from_reader(const archive::StudyReader& reader, Domain domain,
+                              ThreadPool& pool) {
+  const bool snapshots = domain == Domain::kSnapshots;
+  std::vector<WindowSample> samples(snapshots ? reader.snapshot_count() : reader.window_count());
+  std::vector<std::size_t> order(samples.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  parallel_claim(pool, order, [&](std::size_t i) {
+    samples[i] = snapshots ? sample_snapshot(reader, i) : sample_window(reader, i);
+  });
+  SeriesStore store;
+  for (const WindowSample& s : samples) store.append(s);
   return store;
 }
 

@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "archive/study_archive.hpp"
+#include "common/thread_pool.hpp"
 #include "gbl/quantities.hpp"
 
 namespace obscorr::analysis {
@@ -80,11 +81,19 @@ enum class Domain {
 
 /// Reduce archived snapshot k / live window w to a WindowSample. Both
 /// materialize the stored matrix view and run the serial Table II
-/// aggregation, so results are bit-identical across thread counts.
+/// aggregation, so results are bit-identical across thread counts. A
+/// snapshot sample reads its metadata, matrix and source reduction, never
+/// the deanonymized assoc array.
 WindowSample sample_snapshot(const archive::StudyReader& reader, std::size_t k);
 WindowSample sample_window(const archive::StudyReader& reader, std::size_t w);
 
 /// Bulk-load every window of `domain` from an archive into a store.
+/// The pool overload samples the windows as `pool` tasks into fixed
+/// slots and appends them in window order, so the store is identical to
+/// the serial load at any thread count. The pool-free overload is serial
+/// (the service calls it from inside its own pool tasks).
 SeriesStore store_from_reader(const archive::StudyReader& reader, Domain domain);
+SeriesStore store_from_reader(const archive::StudyReader& reader, Domain domain,
+                              ThreadPool& pool);
 
 }  // namespace obscorr::analysis

@@ -1,5 +1,6 @@
 #include "archive/study_archive.hpp"
 
+#include <algorithm>
 #include <cstring>
 #include <filesystem>
 #include <memory>
@@ -492,10 +493,15 @@ gbl::SparseVec StudyReader::source_packets(std::size_t k) const {
                         std::vector<gbl::Value>(v.counts.begin(), v.counts.end()));
 }
 
-core::SnapshotData StudyReader::snapshot(std::size_t k, bool with_matrix) const {
+core::SnapshotData StudyReader::snapshot_meta(std::size_t k) const {
   OBSCORR_REQUIRE(k < snapshot_count(), "archive: snapshot index out of range");
   core::SnapshotData snap;
   decode_snapshot_meta(reader_.payload(snapshot_entry(k, "meta")), snap);
+  return snap;
+}
+
+core::SnapshotData StudyReader::snapshot(std::size_t k, bool with_matrix) const {
+  core::SnapshotData snap = snapshot_meta(k);
   if (with_matrix) snap.matrix = matrix(k).materialize();
   snap.source_packets = source_packets(k);
   snap.sources = decode_assoc(reader_.payload(snapshot_entry(k, "assoc")));
@@ -532,6 +538,33 @@ core::StudyData StudyReader::analysis_study() const {
     study.snapshots.push_back(snapshot(k, /*with_matrix=*/false));
   }
   study.months = months();
+  return study;
+}
+
+core::StudyData StudyReader::analysis_study(ThreadPool& pool) const {
+  core::StudyData study;
+  study.scenario = scenario_;
+  const std::size_t n_snap = snapshot_count();
+  study.snapshots.resize(n_snap);
+  study.months.resize(month_count());
+  // Items [0, n_snap) are snapshots, the rest months. A snapshot's cost
+  // is dominated by its assoc array, a month's by its own.
+  std::vector<std::size_t> order(n_snap + month_count());
+  std::vector<std::size_t> cost(order.size());
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    order[i] = i;
+    const std::string name = i < n_snap ? snapshot_entry(i, "assoc") : month_entry(i - n_snap);
+    cost[i] = reader_.stored_payload(name).size();
+  }
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t x, std::size_t y) { return cost[x] > cost[y]; });
+  parallel_claim(pool, order, [&](std::size_t i) {
+    if (i < n_snap) {
+      study.snapshots[i] = snapshot(i, /*with_matrix=*/false);
+    } else {
+      study.months[i - n_snap] = month(i - n_snap);
+    }
+  });
   return study;
 }
 

@@ -142,6 +142,9 @@ class StudyReader {
   /// (`source_packets`, `sources`), and skipping the nnz-sized
   /// materialization is a large share of the `--from` latency win.
   core::SnapshotData snapshot(std::size_t k, bool with_matrix = true) const;
+  /// Snapshot k's window metadata alone: `snapshot(k)` with the matrix,
+  /// the source reduction and the assoc array left empty.
+  core::SnapshotData snapshot_meta(std::size_t k) const;
   honeyfarm::MonthlyObservation month(std::size_t m) const;
   std::vector<honeyfarm::MonthlyObservation> months() const;
   core::StudyData study() const;
@@ -152,6 +155,13 @@ class StudyReader {
   /// and those two omissions are most of the query path's speedup over
   /// recompute.
   core::StudyData analysis_study() const;
+
+  /// `analysis_study()` with the month and snapshot entries decoded as
+  /// `pool` tasks into fixed slots, largest stored entry first (so the
+  /// surge months start first, on different workers). Identical result
+  /// at any thread count; a decode failure throws the same error the
+  /// serial load would.
+  core::StudyData analysis_study(ThreadPool& pool) const;
 
   /// Re-read the manifest and absorb live windows published since open
   /// (or the last refresh) without remapping the already-served log —

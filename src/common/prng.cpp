@@ -2,9 +2,22 @@
 
 #include <algorithm>
 #include <cmath>
+#include <math.h>
 #include <numbers>
 
 namespace obscorr {
+
+namespace {
+
+/// ln Γ(x) without the global `signgam` write of std::lgamma, which races
+/// when several pool workers draw Poisson variates. lgamma_r is the same
+/// glibc routine, so the values are identical.
+double log_gamma(double x) {
+  int sign = 0;
+  return ::lgamma_r(x, &sign);
+}
+
+}  // namespace
 
 Rng::Rng(std::uint64_t seed) {
   SplitMix64 sm(seed);
@@ -73,7 +86,7 @@ std::uint64_t Rng::poisson(double lambda) {
     if (us >= 0.07 && v <= v_r) return static_cast<std::uint64_t>(k);
     if (k < 0.0 || (us < 0.013 && v > us)) continue;
     if (std::log(v * inv_alpha / (a / (us * us) + b)) <=
-        k * std::log(lambda) - lambda - std::lgamma(k + 1.0)) {
+        k * std::log(lambda) - lambda - log_gamma(k + 1.0)) {
       return static_cast<std::uint64_t>(k);
     }
   }

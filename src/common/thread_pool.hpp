@@ -16,11 +16,15 @@
 /// ALL tasks — including the caller's own, so only call it from threads
 /// outside the pool.)
 
+#include <algorithm>
+#include <atomic>
 #include <condition_variable>
 #include <cstddef>
+#include <exception>
 #include <functional>
 #include <mutex>
 #include <queue>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -111,6 +115,35 @@ void parallel_for(ThreadPool& pool, std::size_t begin, std::size_t end, const Bo
     return;
   }
   detail::parallel_for_chunked(pool, begin, end, detail::ParallelBody(body));
+}
+
+/// Run `task(i)` once for every index in `claim_order` (a permutation of
+/// [0, n)) on `pool`: up to `pool.thread_count()` lanes each claim the next
+/// index in that order until none is left, so listing the costliest items
+/// first gives longest-first scheduling. Tasks write to per-index slots,
+/// which keeps the result independent of who ran what. An exception from a
+/// task is held until every task has finished; then the one thrown by the
+/// smallest index is rethrown, so a failure is reported the same way at
+/// any thread count. 1-thread pools run every task inline, in order.
+template <typename Task>
+void parallel_claim(ThreadPool& pool, std::span<const std::size_t> claim_order,
+                    const Task& task) {
+  const std::size_t n = claim_order.size();
+  std::vector<std::exception_ptr> errors(n);
+  std::atomic<std::size_t> next{0};
+  parallel_for(pool, 0, std::min(pool.thread_count(), n), [&](std::size_t, std::size_t) {
+    for (std::size_t k; (k = next.fetch_add(1, std::memory_order_relaxed)) < n;) {
+      const std::size_t i = claim_order[k];
+      try {
+        task(i);
+      } catch (...) {
+        errors[i] = std::current_exception();
+      }
+    }
+  });
+  for (const std::exception_ptr& e : errors) {
+    if (e) std::rethrow_exception(e);
+  }
 }
 
 /// Convenience overload on the global pool.

@@ -72,11 +72,17 @@ struct FitGridCell {
   TemporalCorrelation curve;
 };
 
-/// All (snapshot × brightness-bin) temporal fits with enough sources.
-/// Cells are embarrassingly parallel: the pool overloads fit them as
-/// `parallel_for` tasks into slots ordered (snapshot, bin) — identical
-/// output at any thread count; the pool-less overloads run on the
-/// process-global pool.
+/// All (snapshot × brightness-bin) temporal fits with enough sources,
+/// in (snapshot, bin) order: exactly the cells, and bit for bit the
+/// curves, that one `temporal_correlation` call per cell returns.
+/// Month membership is computed once per (snapshot, month) pair — a
+/// galloping merge of the two sorted key lists — instead of once per
+/// (cell, month, source) lookup.
+///
+/// The pool overloads run the membership pairs and then the cells' fits
+/// as `pool` tasks into fixed slots, so the output is identical at any
+/// thread count and a 1-thread pool runs everything on the caller. The
+/// pool-less overloads run on the process-global pool.
 std::vector<FitGridCell> fit_grid(const StudyData& study, std::uint64_t min_sources = 20);
 std::vector<FitGridCell> fit_grid(const StudyData& study, std::uint64_t min_sources,
                                   ThreadPool& pool);

@@ -148,16 +148,8 @@ bool AssocArray::has_row(std::string_view row) const {
   return std::binary_search(row_keys_.begin(), row_keys_.end(), row);
 }
 
-namespace {
-
-enum class MergeOp { kAdd, kMult, kMax };
-
-AssocArray merge(const AssocArray& a, const AssocArray& b, MergeOp op) {
+AssocArray AssocArray::merge(const AssocArray& a, const AssocArray& b, MergeOp op) {
   const bool intersect = op == MergeOp::kMult;
-  auto ta = a.to_triples();
-  auto tb = b.to_triples();
-  std::vector<Triple> out;
-  std::size_t i = 0, j = 0;
   const auto combine = [op](double x, double y) {
     switch (op) {
       case MergeOp::kAdd:
@@ -169,29 +161,101 @@ AssocArray merge(const AssocArray& a, const AssocArray& b, MergeOp op) {
     }
     OBSCORR_INVARIANT(false);
   };
-  while (i < ta.size() && j < tb.size()) {
-    const Triple& x = ta[i];
-    const Triple& y = tb[j];
-    if (x.row == y.row && x.col == y.col) {
-      out.push_back({x.row, x.col, combine(x.val, y.val)});
-      ++i;
-      ++j;
-    } else if (triple_key_less(x, y)) {
-      if (!intersect) out.push_back(x);
-      ++i;
-    } else {
-      if (!intersect) out.push_back(y);
-      ++j;
+
+  // Union column keys, with each operand's indices remapped into them.
+  AssocArray out;
+  std::vector<std::uint32_t> a_col(a.col_keys_.size());
+  std::vector<std::uint32_t> b_col(b.col_keys_.size());
+  {
+    std::size_t i = 0, j = 0;
+    while (i < a.col_keys_.size() || j < b.col_keys_.size()) {
+      const auto next = static_cast<std::uint32_t>(out.col_keys_.size());
+      if (j == b.col_keys_.size() ||
+          (i < a.col_keys_.size() && a.col_keys_[i] < b.col_keys_[j])) {
+        a_col[i] = next;
+        out.col_keys_.push_back(a.col_keys_[i++]);
+      } else if (i == a.col_keys_.size() || b.col_keys_[j] < a.col_keys_[i]) {
+        b_col[j] = next;
+        out.col_keys_.push_back(b.col_keys_[j++]);
+      } else {
+        a_col[i] = next;
+        b_col[j++] = next;
+        out.col_keys_.push_back(a.col_keys_[i++]);
+      }
     }
   }
-  if (!intersect) {
-    out.insert(out.end(), ta.begin() + static_cast<std::ptrdiff_t>(i), ta.end());
-    out.insert(out.end(), tb.begin() + static_cast<std::ptrdiff_t>(j), tb.end());
-  }
-  return AssocArray::from_triples(std::move(out));
-}
 
-}  // namespace
+  // Rows in key order; a row only one operand holds is copied (union ops)
+  // or skipped (kMult).
+  const auto copy_row = [&out](const AssocArray& x, const std::vector<std::uint32_t>& remap,
+                               std::size_t r) {
+    for (std::uint64_t k = x.row_ptr_[r]; k < x.row_ptr_[r + 1]; ++k) {
+      out.col_idx_.push_back(remap[x.col_idx_[k]]);
+      out.val_.push_back(x.val_[k]);
+    }
+    out.row_keys_.push_back(x.row_keys_[r]);
+    out.row_ptr_.push_back(out.col_idx_.size());
+  };
+  std::size_t i = 0, j = 0;
+  while (i < a.row_keys_.size() || j < b.row_keys_.size()) {
+    if (j == b.row_keys_.size() || (i < a.row_keys_.size() && a.row_keys_[i] < b.row_keys_[j])) {
+      if (!intersect) copy_row(a, a_col, i);
+      ++i;
+      continue;
+    }
+    if (i == a.row_keys_.size() || b.row_keys_[j] < a.row_keys_[i]) {
+      if (!intersect) copy_row(b, b_col, j);
+      ++j;
+      continue;
+    }
+    std::uint64_t x = a.row_ptr_[i];
+    std::uint64_t y = b.row_ptr_[j];
+    const std::uint64_t x_end = a.row_ptr_[i + 1];
+    const std::uint64_t y_end = b.row_ptr_[j + 1];
+    const std::size_t before = out.col_idx_.size();
+    while (x < x_end || y < y_end) {
+      const std::uint32_t cx = x < x_end ? a_col[a.col_idx_[x]] : UINT32_MAX;
+      const std::uint32_t cy = y < y_end ? b_col[b.col_idx_[y]] : UINT32_MAX;
+      if (x < x_end && y < y_end && cx == cy) {
+        out.col_idx_.push_back(cx);
+        out.val_.push_back(combine(a.val_[x++], b.val_[y++]));
+      } else if (y == y_end || (x < x_end && cx < cy)) {
+        if (!intersect) {
+          out.col_idx_.push_back(cx);
+          out.val_.push_back(a.val_[x]);
+        }
+        ++x;
+      } else {
+        if (!intersect) {
+          out.col_idx_.push_back(cy);
+          out.val_.push_back(b.val_[y]);
+        }
+        ++y;
+      }
+    }
+    if (out.col_idx_.size() != before) {
+      out.row_keys_.push_back(a.row_keys_[i]);
+      out.row_ptr_.push_back(out.col_idx_.size());
+    }
+    ++i;
+    ++j;
+  }
+
+  if (intersect) {
+    // Keep only the column keys a shared cell uses, renumbered in order.
+    std::vector<std::uint32_t> renumber(out.col_keys_.size(), 0);
+    for (const std::uint32_t c : out.col_idx_) renumber[c] = 1;
+    std::vector<std::string> used;
+    for (std::size_t c = 0; c < renumber.size(); ++c) {
+      if (renumber[c] == 0) continue;
+      renumber[c] = static_cast<std::uint32_t>(used.size());
+      used.push_back(std::move(out.col_keys_[c]));
+    }
+    for (std::uint32_t& c : out.col_idx_) c = renumber[c];
+    out.col_keys_ = std::move(used);
+  }
+  return out;
+}
 
 AssocArray AssocArray::ewise_add(const AssocArray& a, const AssocArray& b) {
   return merge(a, b, MergeOp::kAdd);

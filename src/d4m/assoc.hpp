@@ -68,6 +68,13 @@ class AssocArray {
   std::span<const std::string> row_keys() const { return row_keys_; }
   std::span<const std::string> col_keys() const { return col_keys_; }
 
+  /// The CSR arrays behind the keys: row r's entries are positions
+  /// [row_ptr()[r], row_ptr()[r + 1]) of `col_idx()` (indices into
+  /// `col_keys()`) and `values()`.
+  std::span<const std::uint64_t> row_ptr() const { return row_ptr_; }
+  std::span<const std::uint32_t> col_idx() const { return col_idx_; }
+  std::span<const double> values() const { return val_; }
+
   /// Value at (row, col); 0 when absent.
   double at(std::string_view row, std::string_view col) const;
 
@@ -142,6 +149,15 @@ class AssocArray {
   friend bool operator==(const AssocArray&, const AssocArray&) = default;
 
  private:
+  enum class MergeOp { kAdd, kMult, kMax };
+
+  /// The element-wise kernels: one walk over both operands' sorted row
+  /// keys, each output row merged from the two CSR rows over the union
+  /// column keys (both operands' column indices remapped, which keeps
+  /// their order). `kMult` keeps only shared cells and then drops the
+  /// column keys no output cell uses.
+  static AssocArray merge(const AssocArray& a, const AssocArray& b, MergeOp op);
+
   /// The canonical-form contract shared by `from_csr` and `read_binary`;
   /// throws std::invalid_argument naming `who` on the first violation.
   void check_canonical(std::string_view who) const;

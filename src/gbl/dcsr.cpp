@@ -171,32 +171,61 @@ SparseVec DcsrMatrix::reduce_rows_pattern() const {
 
 namespace {
 
-SparseVec reduce_columns(std::span<const Index> col, std::span<const Value> val, bool pattern) {
-  // Gather (col, value) pairs, sort by column, and fold runs.
-  std::vector<std::pair<Index, Value>> pairs(col.size());
-  for (std::size_t k = 0; k < col.size(); ++k) {
-    pairs[k] = {col[k], pattern ? 1.0 : val[k]};
-  }
-  std::sort(pairs.begin(), pairs.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
+/// Column reductions from one sort: `sums` = 1ᵀ·A and `counts` = 1ᵀ·|A|₀
+/// (either may be null). Each entry becomes the key (col << 32 | entry):
+/// one radix sort puts the entries in column order, each column's entries
+/// still in storage (row-major) order, and one pass folds both runs.
+void reduce_columns(std::span<const Index> col, std::span<const Value> val, SparseVec* sums,
+                    SparseVec* counts) {
+  const std::size_t n = col.size();
+  OBSCORR_REQUIRE(n <= (std::size_t{1} << 32), "reduce_cols: more than 2^32 entries");
   std::vector<Index> idx;
-  std::vector<Value> sums;
-  for (const auto& [c, v] : pairs) {
-    if (idx.empty() || idx.back() != c) {
+  std::vector<Value> sum;
+  std::vector<Value> count;
+  if (n != 0) {
+    mem::Arena& arena = mem::scratch_arena();
+    const mem::Arena::Frame frame(arena);
+    const std::span<std::uint64_t> keys = arena.alloc_span<std::uint64_t>(n);
+    for (std::size_t k = 0; k < n; ++k) {
+      keys[k] = (static_cast<std::uint64_t>(col[k]) << 32) | static_cast<std::uint64_t>(k);
+    }
+    kernels::radix_sort_u64(keys.data(), n, arena);
+    for (std::size_t k = 0; k < n;) {
+      const auto c = static_cast<Index>(keys[k] >> 32);
+      Value run_sum = val[keys[k] & 0xFFFFFFFFu];
+      Value run_count = 1.0;
+      for (++k; k < n && static_cast<Index>(keys[k] >> 32) == c; ++k) {
+        run_sum += val[keys[k] & 0xFFFFFFFFu];
+        run_count += 1.0;
+      }
       idx.push_back(c);
-      sums.push_back(v);
-    } else {
-      sums.back() += v;
+      if (sums != nullptr) sum.push_back(run_sum);
+      if (counts != nullptr) count.push_back(run_count);
     }
   }
-  return SparseVec(std::move(idx), std::move(sums));
+  if (sums != nullptr) *sums = SparseVec(idx, std::move(sum));
+  if (counts != nullptr) *counts = SparseVec(std::move(idx), std::move(count));
 }
 
 }  // namespace
 
-SparseVec DcsrMatrix::reduce_cols() const { return reduce_columns(col_, val_, false); }
+SparseVec DcsrMatrix::reduce_cols() const {
+  SparseVec sums;
+  reduce_columns(col_, val_, &sums, nullptr);
+  return sums;
+}
 
-SparseVec DcsrMatrix::reduce_cols_pattern() const { return reduce_columns(col_, val_, true); }
+SparseVec DcsrMatrix::reduce_cols_pattern() const {
+  SparseVec counts;
+  reduce_columns(col_, val_, nullptr, &counts);
+  return counts;
+}
+
+std::pair<SparseVec, SparseVec> DcsrMatrix::reduce_cols_and_pattern() const {
+  std::pair<SparseVec, SparseVec> both;
+  reduce_columns(col_, val_, &both.first, &both.second);
+  return both;
+}
 
 DcsrMatrix DcsrMatrix::pattern() const {
   DcsrMatrix m = *this;

@@ -16,6 +16,7 @@
 
 #include <functional>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "common/pool_alloc.hpp"
@@ -79,6 +80,11 @@ class DcsrMatrix {
 
   /// Column reduction of the pattern `1ᵀ·|A|₀`: fan-in per destination.
   SparseVec reduce_cols_pattern() const;
+
+  /// Both column reductions from one sort: `{reduce_cols(),
+  /// reduce_cols_pattern()}` at the cost of one. Each column sums its
+  /// values in storage (row-major) order.
+  std::pair<SparseVec, SparseVec> reduce_cols_and_pattern() const;
 
   /// Zero-norm `|A|₀`: every stored value replaced by 1.
   DcsrMatrix pattern() const;

@@ -1,5 +1,7 @@
 #include "gbl/quantities.hpp"
 
+#include <utility>
+
 namespace obscorr::gbl {
 
 AggregateQuantities aggregate_quantities(const DcsrMatrix& a) {
@@ -9,8 +11,7 @@ AggregateQuantities aggregate_quantities(const DcsrMatrix& a) {
   q.max_link_packets = a.reduce_max();
   const SparseVec src_packets = a.reduce_rows();
   const SparseVec src_fanout = a.reduce_rows_pattern();
-  const SparseVec dst_packets = a.reduce_cols();
-  const SparseVec dst_fanin = a.reduce_cols_pattern();
+  const auto [dst_packets, dst_fanin] = a.reduce_cols_and_pattern();
   q.unique_sources = src_packets.nnz();
   q.max_source_packets = src_packets.reduce_max();
   q.max_source_fanout = src_fanout.reduce_max();
@@ -21,11 +22,12 @@ AggregateQuantities aggregate_quantities(const DcsrMatrix& a) {
 }
 
 EntityQuantities entity_quantities(const DcsrMatrix& a) {
+  auto [dst_packets, dst_fanin] = a.reduce_cols_and_pattern();
   return EntityQuantities{
       .source_packets = a.reduce_rows(),
       .source_fanout = a.reduce_rows_pattern(),
-      .destination_packets = a.reduce_cols(),
-      .destination_fanin = a.reduce_cols_pattern(),
+      .destination_packets = std::move(dst_packets),
+      .destination_fanin = std::move(dst_fanin),
   };
 }
 

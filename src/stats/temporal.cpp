@@ -4,7 +4,6 @@
 #include <limits>
 
 #include "common/error.hpp"
-#include "stats/norms.hpp"
 
 namespace obscorr::stats {
 
@@ -42,13 +41,43 @@ double peak_amplitude(const TemporalSeries& series) {
   return amp;
 }
 
-template <typename Model>
-double residual_for(const TemporalSeries& series, const Model& model, double amplitude) {
-  std::vector<double> predicted(series.dt.size());
-  for (std::size_t i = 0; i < series.dt.size(); ++i) {
-    predicted[i] = amplitude * model.value(series.dt[i]);
+/// The | |^{1/2} residual Σ_i |amp·model_at(i) − y_i|^{1/2} (stats/norms.hpp,
+/// same terms in the same order), abandoned once the partial sum reaches
+/// `bound`. Every term is >= 0, so an abandoned candidate could never pass
+/// the callers' strict `r < best` test: the chosen fit and its residual are
+/// bit-identical to summing every term. A NaN term makes every later
+/// comparison false, so a NaN residual still runs to the end and still loses.
+template <typename ModelAt>
+double residual_below(const TemporalSeries& series, double amplitude, double bound,
+                      const ModelAt& model_at) {
+  double total = 0.0;
+  for (std::size_t i = 0; i < series.fraction.size(); ++i) {
+    total += std::pow(std::abs(amplitude * model_at(i) - series.fraction[i]), 0.5);
+    if (total >= bound) break;
   }
-  return half_norm_residual(predicted, series.fraction);
+  return total;
+}
+
+template <typename Model>
+double residual_below(const TemporalSeries& series, const Model& model, double amplitude,
+                      double bound) {
+  return residual_below(series, amplitude, bound,
+                        [&](std::size_t i) { return model.value(series.dt[i]); });
+}
+
+/// The values of `x` visited by `for (x = lo; x <= hi; x += step)`, with the
+/// loop's own accumulation, so a precomputed grid walks the same doubles.
+std::vector<double> accumulated_grid(double lo, double hi, double step) {
+  std::vector<double> grid;
+  for (double x = lo; x <= hi; x += step) grid.push_back(x);
+  return grid;
+}
+
+/// exp() of each point of a log-spaced grid.
+std::vector<double> exp_grid(double log_lo, double log_hi, double step) {
+  std::vector<double> grid = accumulated_grid(log_lo, log_hi, step);
+  for (double& x : grid) x = std::exp(x);
+  return grid;
 }
 
 }  // namespace
@@ -62,13 +91,20 @@ TemporalFit<ModifiedCauchy> fit_modified_cauchy(const TemporalSeries& series) {
   fit.residual = std::numeric_limits<double>::infinity();
 
   // Coarse grid: α linear, β logarithmic (it is a scale parameter).
-  for (double alpha = 0.05; alpha <= 4.0; alpha += 0.05) {
-    for (double log_beta = std::log(0.02); log_beta <= std::log(100.0); log_beta += 0.1) {
-      const ModifiedCauchy m{alpha, std::exp(log_beta)};
-      const double r = residual_for(series, m, amp);
+  // |dt|^α depends only on α, so it is computed once per α row.
+  static const std::vector<double> kAlphas = accumulated_grid(0.05, 4.0, 0.05);
+  static const std::vector<double> kBetas = exp_grid(std::log(0.02), std::log(100.0), 0.1);
+  std::vector<double> dt_pow(series.dt.size());
+  for (const double alpha : kAlphas) {
+    for (std::size_t i = 0; i < dt_pow.size(); ++i) {
+      dt_pow[i] = std::pow(std::abs(series.dt[i]), alpha);
+    }
+    for (const double beta : kBetas) {
+      const double r = residual_below(series, amp, fit.residual,
+                                      [&](std::size_t i) { return beta / (beta + dt_pow[i]); });
       if (r < fit.residual) {
         fit.residual = r;
-        fit.model = m;
+        fit.model = {alpha, beta};
       }
     }
   }
@@ -81,7 +117,7 @@ TemporalFit<ModifiedCauchy> fit_modified_cauchy(const TemporalSeries& series) {
     for (const double a : {fit.model.alpha - alpha_step, fit.model.alpha + alpha_step}) {
       if (a <= 0.01) continue;
       const ModifiedCauchy m{a, fit.model.beta};
-      const double r = residual_for(series, m, amp);
+      const double r = residual_below(series, m, amp, fit.residual);
       if (r < fit.residual) {
         fit.residual = r;
         fit.model = m;
@@ -90,7 +126,7 @@ TemporalFit<ModifiedCauchy> fit_modified_cauchy(const TemporalSeries& series) {
     }
     for (const double b : {fit.model.beta / beta_factor, fit.model.beta * beta_factor}) {
       const ModifiedCauchy m{fit.model.alpha, b};
-      const double r = residual_for(series, m, amp);
+      const double r = residual_below(series, m, amp, fit.residual);
       if (r < fit.residual) {
         fit.residual = r;
         fit.model = m;
@@ -122,14 +158,21 @@ TemporalFit<FlooredModifiedCauchy> fit_floored_modified_cauchy(const TemporalSer
   fit.amplitude = amp;
   fit.residual = std::numeric_limits<double>::infinity();
 
-  for (double alpha = 0.1; alpha <= 3.0; alpha += 0.1) {
-    for (double log_beta = std::log(0.05); log_beta <= std::log(50.0); log_beta += 0.2) {
+  static const std::vector<double> kAlphas = accumulated_grid(0.1, 3.0, 0.1);
+  static const std::vector<double> kBetas = exp_grid(std::log(0.05), std::log(50.0), 0.2);
+  std::vector<double> dt_pow(series.dt.size());
+  for (const double alpha : kAlphas) {
+    for (std::size_t i = 0; i < dt_pow.size(); ++i) {
+      dt_pow[i] = std::pow(std::abs(series.dt[i]), alpha);
+    }
+    for (const double beta : kBetas) {
       for (double floor = 0.0; floor < 0.9; floor += 0.05) {
-        const FlooredModifiedCauchy m{alpha, std::exp(log_beta), floor};
-        const double r = residual_for(series, m, amp);
+        const double r = residual_below(series, amp, fit.residual, [&](std::size_t i) {
+          return (1.0 - floor) * beta / (beta + dt_pow[i]) + floor;
+        });
         if (r < fit.residual) {
           fit.residual = r;
-          fit.model = m;
+          fit.model = {alpha, beta, floor};
         }
       }
     }
@@ -142,7 +185,7 @@ TemporalFit<FlooredModifiedCauchy> fit_floored_modified_cauchy(const TemporalSer
     bool improved = false;
     const auto consider = [&](const FlooredModifiedCauchy& m) {
       if (m.alpha <= 0.01 || m.beta <= 0.0 || m.floor < 0.0 || m.floor >= 0.95) return;
-      const double r = residual_for(series, m, amp);
+      const double r = residual_below(series, m, amp, fit.residual);
       if (r < fit.residual) {
         fit.residual = r;
         fit.model = m;
@@ -171,9 +214,10 @@ TemporalFit<Cauchy> fit_cauchy(const TemporalSeries& series) {
   TemporalFit<Cauchy> fit;
   fit.amplitude = amp;
   fit.residual = std::numeric_limits<double>::infinity();
-  for (double log_g = std::log(0.05); log_g <= std::log(50.0); log_g += 0.02) {
-    const Cauchy m{std::exp(log_g)};
-    const double r = residual_for(series, m, amp);
+  static const std::vector<double> kGammas = exp_grid(std::log(0.05), std::log(50.0), 0.02);
+  for (const double gamma : kGammas) {
+    const Cauchy m{gamma};
+    const double r = residual_below(series, m, amp, fit.residual);
     if (r < fit.residual) {
       fit.residual = r;
       fit.model = m;
@@ -188,9 +232,10 @@ TemporalFit<Gaussian> fit_gaussian(const TemporalSeries& series) {
   TemporalFit<Gaussian> fit;
   fit.amplitude = amp;
   fit.residual = std::numeric_limits<double>::infinity();
-  for (double log_s = std::log(0.05); log_s <= std::log(50.0); log_s += 0.02) {
-    const Gaussian m{std::exp(log_s)};
-    const double r = residual_for(series, m, amp);
+  static const std::vector<double> kSigmas = exp_grid(std::log(0.05), std::log(50.0), 0.02);
+  for (const double sigma : kSigmas) {
+    const Gaussian m{sigma};
+    const double r = residual_below(series, m, amp, fit.residual);
     if (r < fit.residual) {
       fit.residual = r;
       fit.model = m;

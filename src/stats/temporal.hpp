@@ -10,6 +10,12 @@
 /// normalize to the observed peak, and select parameters minimizing the
 /// | |^{1/2} norm. The derived quantity 1/(β+1) is the relative one-month
 /// drop from the peak (Fig. 8).
+///
+/// The searches stop summing a candidate's residual once the partial sum
+/// reaches the best residual so far (the terms are >= 0, so such a
+/// candidate can never win the strict `r < best` test) and walk
+/// precomputed parameter grids; every fitted double is bit-identical to
+/// the exhaustive search.
 
 #include <span>
 #include <vector>

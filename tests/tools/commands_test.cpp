@@ -240,6 +240,49 @@ TEST(CliToolTest, ReportFromArchiveWritesSameArtifacts) {
   std::filesystem::remove_all(from_dir);
 }
 
+/// `threadpool.tasks_executed` from an obscorr.metrics.v1 JSON file.
+long pool_tasks(const std::string& metrics_path) {
+  std::ifstream is(metrics_path);
+  std::stringstream ss;
+  ss << is.rdbuf();
+  const std::string text = ss.str();
+  const std::string key = "\"threadpool.tasks_executed\": ";
+  const auto at = text.find(key);
+  if (at == std::string::npos) return -1;
+  return std::stol(text.substr(at + key.size()));
+}
+
+TEST(CliToolTest, ReadCommandsRunOnTheirThreadsFlag) {
+  // report, study --from and correlate run the archive load, the fit grid
+  // and the window sampling on one --threads pool: at --threads 1 no
+  // task ever reaches a pool worker, at --threads 4 they do.
+  const std::string golden = std::string(OBSCORR_TEST_DATA_DIR) + "/golden_study";
+  const std::string out_dir = temp("cli_report_threads");
+  const std::string metrics = temp("cli_report_threads.json");
+  std::filesystem::create_directories(out_dir);
+  const std::vector<std::vector<std::string>> commands = {
+      {"report", "--from", golden, "--out", out_dir},
+      {"study", "--from", golden},
+      {"correlate", "--from", golden},
+  };
+  for (const auto& command : commands) {
+    for (const char* threads : {"1", "4"}) {
+      std::vector<std::string> args = command;
+      args.insert(args.end(), {"--threads", threads, "--metrics-out", metrics});
+      std::ostringstream out;
+      ASSERT_EQ(run(args, out), 0) << command[0] << " --threads " << threads;
+      const long tasks = pool_tasks(metrics);
+      if (std::string(threads) == "1") {
+        EXPECT_EQ(tasks, 0) << command[0] << " --threads 1 ran pool tasks";
+      } else {
+        EXPECT_GT(tasks, 0) << command[0] << " --threads 4 ran no pool task";
+      }
+    }
+  }
+  std::filesystem::remove_all(out_dir);
+  std::remove(metrics.c_str());
+}
+
 TEST(CliToolTest, FromMissingArchiveIsCleanError) {
   for (const std::vector<std::string>& args :
        {std::vector<std::string>{"study", "--from", temp("no_such_archive")},

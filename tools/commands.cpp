@@ -104,10 +104,10 @@ void reject_unused(const CliArgs& args) {
 }
 
 /// Materialize the observation series of an archived campaign — no
-/// matrices, no ground-truth population; see
-/// archive::StudyReader::analysis_study.
-core::StudyData load_archived_study(const std::string& dir) {
-  return archive::StudyReader(dir).analysis_study();
+/// matrices, no ground-truth population — decoding its entries on
+/// `pool`; see archive::StudyReader::analysis_study.
+core::StudyData load_archived_study(const std::string& dir, ThreadPool& pool) {
+  return archive::StudyReader(dir).analysis_study(pool);
 }
 
 /// The shared telemetry flags. Any of them arms full tracing for the
@@ -192,12 +192,16 @@ commands:
                 --matrix FILE | --from DIR [--snapshot K=0]
   study       run the full 15-month campaign and print the headline results
                 [--log2-nv K=16] [--seed S] | --from DIR
+              (--threads N runs the campaign, or decodes the archive's
+              months and snapshots, on N workers)
   lookup      query the honeyfarm database for a source profile
                 --ip A.B.C.D [--log2-nv K=16] [--seed S] [--from DIR]
   scaling     window-size scaling ladder (sources ~ sqrt(N_V))
                 [--log2-nv K=18] [--seed S] [--from DIR]
   report      regenerate every table/figure as CSV + REPORT.md in a directory
                 --out DIR [--log2-nv K=16] [--seed S] [--from DIR]
+              (--threads N runs the campaign or archive load and the
+              temporal fit grid on N workers)
   prefixes    prefix-level concentration of an archived matrix's sources
                 --matrix FILE | --from DIR [--snapshot K=0]  [--length L=16]
   correlate   rank every window metric by baseline-vs-highlight change
@@ -205,6 +209,7 @@ commands:
                 --from DIR [--domain windows|snapshots] [--method ks2|volume]
                 [--baseline A:B] [--highlight A:B] [--top N=10, 0 = all]
                 [--json FILE] [--events]
+              (--threads N samples the windows on N workers)
   archive     run the full campaign and persist it as a study archive
                 --out DIR [--log2-nv K=16] [--seed S]
   archive compact
@@ -378,15 +383,15 @@ int cmd_study(const std::vector<std::string>& args, std::ostream& out, std::ostr
   const std::size_t threads = thread_option(cli);
   reject_unused(cli);
 
+  ThreadPool pool(threads);
   core::StudyData study;
   if (from.has_value()) {
-    study = load_archived_study(*from);
+    study = load_archived_study(*from, pool);
   } else {
     // A long fresh campaign stops cleanly on SIGINT/SIGTERM: run_study
     // exits at the next window boundary with a pointer at the resumable
     // path (`obscorr archive`) instead of dying mid-frame.
     interrupt::install_handlers();
-    ThreadPool pool(threads);
     study = core::run_study(netgen::Scenario::paper(c.log2_nv, c.seed), pool);
   }
 
@@ -491,11 +496,13 @@ int cmd_report(const std::vector<std::string>& args, std::ostream& out, std::ost
     err << "wrote " << path << '\n';
   };
 
+  // One pool for the whole command: the load (or the fresh campaign)
+  // and the fit grid all run on --threads workers.
+  ThreadPool pool(threads);
   core::StudyData study;
   if (from.has_value()) {
-    study = load_archived_study(*from);
+    study = load_archived_study(*from, pool);
   } else {
-    ThreadPool pool(threads);
     study = core::run_study(netgen::Scenario::paper(c.log2_nv, c.seed), pool);
   }
 
@@ -539,7 +546,7 @@ int cmd_report(const std::vector<std::string>& args, std::ostream& out, std::ost
   csv(f4, "fig4_peak_correlation");
 
   // Figures 5-8 from the fit grid.
-  const auto grid = core::fit_grid(study, 20);
+  const auto grid = core::fit_grid(study, 20, pool);
   TextTable f6;
   f6.set_header({"snapshot", "d_bin", "dt_months", "fraction", "fit"});
   TextTable f78;
@@ -649,9 +656,10 @@ int cmd_correlate(const std::vector<std::string>& args, std::ostream& out, std::
   OBSCORR_REQUIRE(top >= 0, "correlate: --top must be >= 0");
   const auto json_path = cli.get("json");
   const bool events = cli.has("events");
-  (void)thread_option(cli);  // sampling is serial by design (determinism); accepted for uniformity
+  const std::size_t threads = thread_option(cli);
   reject_unused(cli);
 
+  ThreadPool pool(threads);
   const archive::StudyReader reader(*from);
   analysis::Domain domain;
   std::string domain_text;
@@ -676,7 +684,7 @@ int cmd_correlate(const std::vector<std::string>& args, std::ostream& out, std::
                                              ? parse_range_flag(*baseline_flag, "baseline")
                                              : analysis::default_baseline(highlight);
 
-  const analysis::SeriesStore store = analysis::store_from_reader(reader, domain);
+  const analysis::SeriesStore store = analysis::store_from_reader(reader, domain, pool);
   const std::vector<analysis::MetricScore> ranked =
       analysis::rank_series(store, baseline, highlight, method);
   out << "archive: " << *from << " (" << n << " " << domain_text << ")\n";
