@@ -17,19 +17,21 @@ std::string window_event_json(const archive::LiveWindowMeta& meta) {
 Monitor::Monitor(MonitorConfig cfg) : cfg_(std::move(cfg)), bank_(cfg_.detectors) {}
 
 std::vector<AnomalyEvent> Monitor::prime(const archive::StudyReader& reader, Domain domain) {
+  return prime(store_from_reader(reader, domain), reader, domain);
+}
+
+std::vector<AnomalyEvent> Monitor::prime(const SeriesStore& samples,
+                                         const archive::StudyReader& reader, Domain domain) {
   std::vector<AnomalyEvent> all;
-  const std::size_t n =
-      domain == Domain::kSnapshots ? reader.snapshot_count() : reader.window_count();
-  for (std::size_t w = 0; w < n; ++w) {
-    const WindowSample sample = domain == Domain::kSnapshots ? sample_snapshot(reader, w)
-                                                             : sample_window(reader, w);
+  std::vector<double> row(samples.series_count());
+  for (std::size_t w = 0; w < samples.window_count(); ++w) {
+    for (std::size_t i = 0; i < row.size(); ++i) row[i] = samples.series(i)[w];
     // Degree values for the shift detector, from the stored reduction.
     const gbl::SparseVec sources = domain == Domain::kSnapshots
                                        ? reader.source_packets(w)
                                        : reader.window_source_packets(w);
-    store_.append(sample);
-    std::vector<AnomalyEvent> events =
-        bank_.observe(w, metric_row(sample), sources.values());
+    store_.append_row(row);
+    std::vector<AnomalyEvent> events = bank_.observe(w, row, sources.values());
     all.insert(all.end(), std::make_move_iterator(events.begin()),
                std::make_move_iterator(events.end()));
   }

@@ -42,6 +42,12 @@ class Monitor {
   /// observations are logged.
   std::vector<AnomalyEvent> prime(const archive::StudyReader& reader, Domain domain);
 
+  /// The same replay over a store already loaded from `reader`'s
+  /// `domain` (`store_from_reader`): the windows are not sampled again,
+  /// only their degree values are read for the shift detector.
+  std::vector<AnomalyEvent> prime(const SeriesStore& samples, const archive::StudyReader& reader,
+                                  Domain domain);
+
   /// Observe one live window: appends to the store, runs the detectors,
   /// appends any events to the sidecar log. Returns the events.
   std::vector<AnomalyEvent> observe_window(std::uint64_t window, const WindowSample& sample,

@@ -61,8 +61,9 @@ std::vector<double> metric_row(const WindowSample& s) {
 
 SeriesStore::SeriesStore() : data_(metric_count()) {}
 
-void SeriesStore::append(const WindowSample& s) {
-  const std::vector<double> row = metric_row(s);
+void SeriesStore::append(const WindowSample& s) { append_row(metric_row(s)); }
+
+void SeriesStore::append_row(std::span<const double> row) {
   OBSCORR_REQUIRE(row.size() == data_.size(), "metric row/catalogue mismatch");
   for (std::size_t i = 0; i < row.size(); ++i) data_[i].push_back(row[i]);
   ++windows_;

@@ -61,6 +61,9 @@ class SeriesStore {
   /// Append one window's sample to every series.
   void append(const WindowSample& s);
 
+  /// Append one window given as its metric row (catalogue order).
+  void append_row(std::span<const double> row);
+
   /// Series i as a contiguous span, one value per appended window.
   std::span<const double> series(std::size_t i) const;
 

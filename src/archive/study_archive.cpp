@@ -4,7 +4,6 @@
 #include <cstring>
 #include <filesystem>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -15,6 +14,7 @@
 #include "common/error.hpp"
 #include "common/interrupt.hpp"
 #include "honeyfarm/honeyfarm.hpp"
+#include "obs/span.hpp"
 #include "telescope/telescope.hpp"
 
 namespace obscorr::archive {
@@ -115,9 +115,9 @@ void decode_snapshot_meta(std::span<const std::byte> bytes, core::SnapshotData& 
 }
 
 std::string encode_assoc(const d4m::AssocArray& a) {
-  std::ostringstream os(std::ios::binary);
-  a.write_binary(os);
-  return std::move(os).str();
+  std::string out;
+  a.append_binary(out);
+  return out;
 }
 
 d4m::AssocArray decode_assoc(std::span<const std::byte> bytes) {
@@ -125,14 +125,15 @@ d4m::AssocArray decode_assoc(std::span<const std::byte> bytes) {
 }
 
 /// One honeyfarm month: the fixed-size header followed by the assoc
-/// array's own binary encoding.
+/// array's own binary encoding, written into one string of exactly
+/// that size.
 std::string encode_month(const honeyfarm::MonthlyObservation& obs) {
   PayloadWriter w;
   put_year_month(w, obs.month);
   w.u64(obs.population_sources);
   w.u64(obs.ephemeral_sources);
   std::string out = w.take();
-  out += encode_assoc(obs.sources);
+  obs.sources.append_binary(out);
   return out;
 }
 
@@ -158,23 +159,33 @@ std::vector<std::string> expected_entries(const netgen::Scenario& scenario) {
   return names;
 }
 
+/// Encode one entry and append it (its CRC and frame) under an
+/// `archive.entry` span.
+template <typename Encode>
+void put_entry(ArchiveWriter& w, const std::string& name, const Encode& encode) {
+  const obs::Span span("archive.entry", [&] { return name; });
+  w.add_entry(name, encode());
+}
+
 void add_snapshot_entries(ArchiveWriter& w, std::size_t k, const core::SnapshotData& snap) {
   // Resume may find a prefix of a snapshot's four entries already on
   // disk; regeneration is deterministic, so only the missing ones are
   // appended and they agree with the survivors.
   if (const auto name = snapshot_entry(k, "meta"); !w.has_entry(name)) {
-    w.add_entry(name, encode_snapshot_meta(snap));
+    put_entry(w, name, [&] { return encode_snapshot_meta(snap); });
   }
   if (const auto name = snapshot_entry(k, "matrix"); !w.has_entry(name)) {
-    std::string payload;
-    gbl::append_matrix_v2(payload, snap.matrix);
-    w.add_entry(name, payload);
+    put_entry(w, name, [&] {
+      std::string payload;
+      gbl::append_matrix_v2(payload, snap.matrix);
+      return payload;
+    });
   }
   if (const auto name = snapshot_entry(k, "sources"); !w.has_entry(name)) {
-    w.add_entry(name, encode_sources(snap.source_packets));
+    put_entry(w, name, [&] { return encode_sources(snap.source_packets); });
   }
   if (const auto name = snapshot_entry(k, "assoc"); !w.has_entry(name)) {
-    w.add_entry(name, encode_assoc(snap.sources));
+    put_entry(w, name, [&] { return encode_assoc(snap.sources); });
   }
 }
 
@@ -375,7 +386,10 @@ ArchiveStats archive_study(const netgen::Scenario& scenario, const std::string& 
   // actually missing; a fully recovered log resumes straight to commit.
   std::unique_ptr<netgen::Population> population;
   const auto world = [&]() -> const netgen::Population& {
-    if (!population) population = std::make_unique<netgen::Population>(scenario.population);
+    if (!population) {
+      const obs::Span span("netgen.population");
+      population = std::make_unique<netgen::Population>(scenario.population);
+    }
     return *population;
   };
 
@@ -404,7 +418,9 @@ ArchiveStats archive_study(const netgen::Scenario& scenario, const std::string& 
       stats.interrupted = true;
       return stats;
     }
-    writer.add_entry(month_entry(m), encode_month(core::run_month(scenario, world(), m)));
+    // One month resident at a time, built on the pool, appended in order.
+    const honeyfarm::MonthlyObservation month = core::run_month(scenario, world(), m, pool);
+    put_entry(writer, month_entry(m), [&] { return encode_month(month); });
   }
   writer.finalize(hash);
   return stats;
@@ -418,7 +434,7 @@ void write_study(const core::StudyData& study, const std::string& dir) {
     add_snapshot_entries(writer, k, study.snapshots[k]);
   }
   for (std::size_t m = 0; m < study.months.size(); ++m) {
-    writer.add_entry(month_entry(m), encode_month(study.months[m]));
+    put_entry(writer, month_entry(m), [&] { return encode_month(study.months[m]); });
   }
   writer.finalize(scenario_fingerprint(study.scenario));
 }

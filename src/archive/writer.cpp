@@ -289,15 +289,19 @@ void ArchiveWriter::append_frame(std::string_view magic, std::string_view name,
   PayloadWriter crc_bytes;
   crc_bytes.u32(header_crc);
 
-  std::string block = prefix + crc_bytes.bytes() + std::string(name);
-  block.resize(padded8(block.size()), '\0');
-  const std::uint64_t payload_at = log_size_ + block.size();
-  block += payload;
-  block.resize(padded8(block.size()), '\0');
+  // A frame is header, payload, pad, written piece by piece so the
+  // payload is never copied.
+  std::string header = prefix + crc_bytes.bytes() + std::string(name);
+  header.resize(padded8(header.size()), '\0');
+  const std::uint64_t payload_at = log_size_ + header.size();
+  const std::string pad(padded8(payload.size()) - payload.size(), '\0');
+  const std::uint64_t frame_bytes = header.size() + payload.size() + pad.size();
 
   std::ofstream os(log_path_, std::ios::binary | std::ios::app);
   OBSCORR_REQUIRE(os.is_open(), "archive: cannot append to " + log_path_);
-  os.write(block.data(), static_cast<std::streamsize>(block.size()));
+  for (const std::string_view part : {std::string_view(header), payload, std::string_view(pad)}) {
+    os.write(part.data(), static_cast<std::streamsize>(part.size()));
+  }
   os.flush();
   OBSCORR_REQUIRE(os.good(), "archive: write failure on " + log_path_);
 
@@ -306,14 +310,14 @@ void ArchiveWriter::append_frame(std::string_view magic, std::string_view name,
   info.size = payload.size();
   info.crc32c = payload_crc;
   entries_.push_back(std::move(info));
-  log_size_ += block.size();
-  log_crc_ = crc32c(block, log_crc_);
+  log_size_ += frame_bytes;
+  log_crc_ = crc32c(pad, crc32c(payload, crc32c(header, log_crc_)));
   if (obs::counters_enabled()) {
     static obs::Counter& bytes_written = obs::counter("archive.bytes_written");
     static obs::Counter& frames_written = obs::counter("archive.frames_written");
     static obs::Counter& raw_bytes = obs::counter("archive.raw_bytes");
     static obs::Counter& stored_bytes = obs::counter("archive.stored_bytes");
-    bytes_written.add(block.size());
+    bytes_written.add(frame_bytes);
     frames_written.add(1);
     raw_bytes.add(entries_.back().raw_size);
     stored_bytes.add(payload.size());

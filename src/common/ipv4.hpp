@@ -44,6 +44,16 @@ class Ipv4 {
   std::uint32_t value_ = 0;
 };
 
+/// The address's text-order key: each octet replaced by the rank of its
+/// decimal text among "0".."255" in string order, most significant
+/// first. '.' and the end of the text both sort below every digit, so
+/// comparing keys as integers compares the dotted-quad texts exactly as
+/// std::string does — D4M row keys can be sorted as 32-bit integers.
+std::uint32_t text_order_key(Ipv4 ip);
+
+/// The address whose text-order key is `key` (inverse of text_order_key).
+Ipv4 from_text_order_key(std::uint32_t key);
+
 /// A CIDR prefix, e.g. 77.0.0.0/8. Used for the telescope darkspace and
 /// honeyfarm sensor subnets.
 class Ipv4Prefix {

@@ -53,11 +53,23 @@ gbl::DcsrMatrix capture_window(telescope::Telescope& scope,
 
   std::sort(runs.begin(), runs.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });
-  gbl::DcsrMatrix total = std::move(runs.front().second);
-  for (std::size_t i = 1; i < runs.size(); ++i) {
-    total = gbl::DcsrMatrix::ewise_add(total, runs[i].second, pool);
+  std::vector<gbl::DcsrMatrix> level;
+  level.reserve(runs.size());
+  for (auto& run : runs) level.push_back(std::move(run.second));
+  // Pairwise tree sum, neighbours first; the merges of one level run
+  // concurrently, which halves the chain of merges a window waits on.
+  while (level.size() > 1) {
+    std::vector<gbl::DcsrMatrix> next((level.size() + 1) / 2);
+    parallel_for(pool, 0, next.size(), [&](std::size_t b, std::size_t e) {
+      for (std::size_t i = b; i < e; ++i) {
+        next[i] = 2 * i + 1 < level.size()
+                      ? gbl::DcsrMatrix::ewise_add(level[2 * i], level[2 * i + 1], pool)
+                      : std::move(level[2 * i]);
+      }
+    });
+    level = std::move(next);
   }
-  return total;
+  return std::move(level.front());
 }
 
 }  // namespace obscorr::core

@@ -4,9 +4,12 @@
 #include <optional>
 #include <string>
 
+#include "common/arena.hpp"
 #include "common/error.hpp"
 #include "common/interrupt.hpp"
+#include "common/ipv4.hpp"
 #include "core/parallel_capture.hpp"
+#include "gbl/kernels.hpp"
 #include "netgen/traffic.hpp"
 #include "obs/span.hpp"
 #include "telescope/telescope.hpp"
@@ -35,16 +38,32 @@ SnapshotData take_snapshot(const netgen::Scenario& scenario, const netgen::Popul
 
   // Trusted exchange (paper §I, sharing approach 1): the anonymized
   // source ids go back to the telescope operator for deanonymization,
-  // producing the D4M associative array used for correlation.
-  std::vector<d4m::Triple> triples;
-  triples.reserve(snap.source_packets.nnz());
+  // producing the D4M associative array used for correlation: one
+  // `packets` column over the original addresses in text order.
+  // Deanonymization is a bijection, so the addresses stay distinct; each
+  // sorts as its text-order key, with its position in the low word.
   const auto ids = snap.source_packets.indices();
   const auto counts = snap.source_packets.values();
-  for (std::size_t i = 0; i < snap.source_packets.nnz(); ++i) {
-    const Ipv4 original = scope.deanonymize(Ipv4(ids[i]));
-    triples.push_back({original.to_string(), "packets", counts[i]});
+  const std::size_t n = ids.size();
+  std::vector<std::uint64_t> order(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::uint64_t key = text_order_key(scope.deanonymize(Ipv4(ids[i])));
+    order[i] = key << 32 | i;
   }
-  snap.sources = d4m::AssocArray::from_triples(std::move(triples));
+  gbl::kernels::radix_sort_u64(order.data(), n, mem::scratch_arena());
+  std::vector<std::string> row_keys(n);
+  std::vector<std::uint64_t> row_ptr(n + 1);
+  std::vector<double> val(n);
+  for (std::size_t r = 0; r < n; ++r) {
+    row_keys[r] = from_text_order_key(static_cast<std::uint32_t>(order[r] >> 32)).to_string();
+    row_ptr[r + 1] = r + 1;
+    val[r] = counts[order[r] & 0xFFFFFFFFu];
+  }
+  std::vector<std::string> col_keys;
+  if (n != 0) col_keys.emplace_back("packets");
+  snap.sources = d4m::AssocArray::from_csr(std::move(row_keys), std::move(col_keys),
+                                           std::move(row_ptr), std::vector<std::uint32_t>(n, 0),
+                                           std::move(val));
   return snap;
 }
 
@@ -53,7 +72,10 @@ StudyData run_impl(const netgen::Scenario& scenario, ThreadPool& pool, bool with
   OBSCORR_REQUIRE(!scenario.snapshots.empty(), "scenario needs at least one snapshot");
   StudyData study;
   study.scenario = scenario;
-  study.population = std::make_shared<netgen::Population>(scenario.population);
+  {
+    const obs::Span population_span("netgen.population");
+    study.population = std::make_shared<netgen::Population>(scenario.population);
+  }
   const netgen::Population& population = *study.population;
 
   const std::size_t n_snapshots = scenario.snapshots.size();
@@ -88,8 +110,7 @@ StudyData run_impl(const netgen::Scenario& scenario, ThreadPool& pool, bool with
         study.snapshots[i] = take_snapshot(scenario, population, scenario.snapshots[i], pool);
       } else {
         const std::size_t m = i - n_snapshots;
-        const obs::Span month_span("study.month", [&] { return std::to_string(m); });
-        study.months[m] = farm->observe_month(scenario.months[m], static_cast<int>(m));
+        study.months[m] = farm->observe_month(scenario.months[m], static_cast<int>(m), pool);
       }
     }
   });
@@ -114,6 +135,15 @@ SnapshotData run_snapshot(const netgen::Scenario& scenario, const netgen::Popula
   OBSCORR_REQUIRE(snapshot_index < scenario.snapshots.size(),
                   "run_snapshot: snapshot index out of range");
   return take_snapshot(scenario, population, scenario.snapshots[snapshot_index], pool);
+}
+
+honeyfarm::MonthlyObservation run_month(const netgen::Scenario& scenario,
+                                        const netgen::Population& population,
+                                        std::size_t month_index, ThreadPool& pool) {
+  OBSCORR_REQUIRE(month_index < scenario.months.size(), "run_month: month index out of range");
+  const honeyfarm::Honeyfarm farm(population, scenario.visibility,
+                                  scenario.population.seed ^ 0x64E4015EULL);
+  return farm.observe_month(scenario.months[month_index], static_cast<int>(month_index), pool);
 }
 
 honeyfarm::MonthlyObservation run_month(const netgen::Scenario& scenario,

@@ -62,7 +62,13 @@ StudyData run_telescope_only(const netgen::Scenario& scenario, ThreadPool& pool)
 SnapshotData run_snapshot(const netgen::Scenario& scenario, const netgen::Population& population,
                           std::size_t snapshot_index, ThreadPool& pool);
 
-/// Run one honeyfarm month; bit-identical to `run_study(...).months[index]`.
+/// Run one honeyfarm month on `pool`; bit-identical to
+/// `run_study(...).months[index]`.
+honeyfarm::MonthlyObservation run_month(const netgen::Scenario& scenario,
+                                        const netgen::Population& population,
+                                        std::size_t month_index, ThreadPool& pool);
+
+/// The same month, computed serially on the calling thread.
 honeyfarm::MonthlyObservation run_month(const netgen::Scenario& scenario,
                                         const netgen::Population& population,
                                         std::size_t month_index);

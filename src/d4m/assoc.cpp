@@ -392,17 +392,30 @@ namespace {
 
 constexpr char kBinaryMagic[8] = {'O', 'B', 'S', 'D', '4', 'M', 'A', '1'};
 
-template <typename T>
-void write_pod(std::ostream& os, const T& value) {
-  os.write(reinterpret_cast<const char*>(&value), sizeof value);
+std::size_t keys_binary_size(const std::vector<std::string>& keys) {
+  std::size_t bytes = sizeof(std::uint64_t) + keys.size() * sizeof(std::uint32_t);
+  for (const std::string& key : keys) bytes += key.size();
+  return bytes;
 }
 
-void write_keys(std::ostream& os, const std::vector<std::string>& keys) {
-  write_pod<std::uint64_t>(os, keys.size());
+/// Copy `bytes` bytes to `at` and return the position after them.
+char* put_bytes(char* at, const void* bytes, std::size_t n) {
+  if (n != 0) std::memcpy(at, bytes, n);
+  return at + n;
+}
+
+template <typename T>
+char* put_pod(char* at, const T& value) {
+  return put_bytes(at, &value, sizeof value);
+}
+
+char* put_keys(char* at, const std::vector<std::string>& keys) {
+  at = put_pod<std::uint64_t>(at, keys.size());
   for (const std::string& key : keys) {
-    write_pod<std::uint32_t>(os, static_cast<std::uint32_t>(key.size()));
-    os.write(key.data(), static_cast<std::streamsize>(key.size()));
+    at = put_pod<std::uint32_t>(at, static_cast<std::uint32_t>(key.size()));
+    at = put_bytes(at, key.data(), key.size());
   }
+  return at;
 }
 
 /// Bounds-checked cursor over an in-memory serialized array; every read
@@ -455,17 +468,30 @@ std::vector<T> read_pod_array(SpanCursor& c, std::size_t n) {
 
 }  // namespace
 
+std::size_t AssocArray::binary_size() const {
+  return sizeof kBinaryMagic + keys_binary_size(row_keys_) + keys_binary_size(col_keys_) +
+         sizeof(std::uint64_t) + row_ptr_.size() * sizeof(std::uint64_t) +
+         col_idx_.size() * sizeof(std::uint32_t) + val_.size() * sizeof(double);
+}
+
+void AssocArray::append_binary(std::string& out) const {
+  const std::size_t start = out.size();
+  out.resize(start + binary_size());
+  char* at = out.data() + start;
+  at = put_bytes(at, kBinaryMagic, sizeof kBinaryMagic);
+  at = put_keys(at, row_keys_);
+  at = put_keys(at, col_keys_);
+  at = put_pod<std::uint64_t>(at, static_cast<std::uint64_t>(col_idx_.size()));
+  at = put_bytes(at, row_ptr_.data(), row_ptr_.size() * sizeof(std::uint64_t));
+  at = put_bytes(at, col_idx_.data(), col_idx_.size() * sizeof(std::uint32_t));
+  at = put_bytes(at, val_.data(), val_.size() * sizeof(double));
+  OBSCORR_INVARIANT(at == out.data() + out.size());
+}
+
 void AssocArray::write_binary(std::ostream& os) const {
-  os.write(kBinaryMagic, sizeof kBinaryMagic);
-  write_keys(os, row_keys_);
-  write_keys(os, col_keys_);
-  write_pod<std::uint64_t>(os, static_cast<std::uint64_t>(col_idx_.size()));
-  os.write(reinterpret_cast<const char*>(row_ptr_.data()),
-           static_cast<std::streamsize>(row_ptr_.size() * sizeof(std::uint64_t)));
-  os.write(reinterpret_cast<const char*>(col_idx_.data()),
-           static_cast<std::streamsize>(col_idx_.size() * sizeof(std::uint32_t)));
-  os.write(reinterpret_cast<const char*>(val_.data()),
-           static_cast<std::streamsize>(val_.size() * sizeof(double)));
+  std::string bytes;
+  append_binary(bytes);
+  os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
   OBSCORR_REQUIRE(os.good(), "write_binary: stream failure");
 }
 

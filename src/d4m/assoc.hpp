@@ -143,6 +143,10 @@ class AssocArray {
   /// buffer to hold exactly one serialized array; the istream overload
   /// consumes the rest of the stream and delegates to it.
   void write_binary(std::ostream& os) const;
+  /// The same bytes appended to `out` with one resize: binary_size()
+  /// bytes, the exact length of the encoding.
+  void append_binary(std::string& out) const;
+  std::size_t binary_size() const;
   static AssocArray read_binary(std::istream& is);
   static AssocArray read_binary(std::span<const std::byte> bytes);
 

@@ -17,6 +17,7 @@
 
 #include <cstdint>
 
+#include "common/thread_pool.hpp"
 #include "d4m/assoc.hpp"
 #include "netgen/population.hpp"
 #include "netgen/scenario.hpp"
@@ -39,11 +40,21 @@ class Honeyfarm {
   Honeyfarm(const netgen::Population& population, netgen::VisibilityModel visibility,
             std::uint64_t seed);
 
-  /// Observe one study month (month_index is 0-based within the study).
+  /// Observe one study month (month_index is 0-based within the study)
+  /// under a `study.month` span. Detection, the ephemeral ownership
+  /// checks and the row fill run as `pool` tasks; the month is the same
+  /// at any thread count.
+  MonthlyObservation observe_month(const netgen::GreyNoiseMonthSpec& spec, int month_index,
+                                   ThreadPool& pool) const;
+
+  /// The same month, computed serially on the calling thread.
   MonthlyObservation observe_month(const netgen::GreyNoiseMonthSpec& spec,
                                    int month_index) const;
 
  private:
+  MonthlyObservation observe(const netgen::GreyNoiseMonthSpec& spec, int month_index,
+                             ThreadPool* pool) const;
+
   const netgen::Population& population_;
   netgen::VisibilityModel visibility_;
   std::uint64_t seed_;

@@ -154,10 +154,15 @@ Population::Population(const PopulationConfig& config) : config_(config) {
   sorted_ips_.reserve(sources_.size());
   for (const SourceRecord& s : sources_) sorted_ips_.push_back(s.ip.value());
   std::sort(sorted_ips_.begin(), sorted_ips_.end());
+  ip_bucket_.assign(std::size_t{1} << 16 | 1, 0);
+  for (const std::uint32_t ip : sorted_ips_) ++ip_bucket_[(ip >> 16) + 1];
+  for (std::size_t h = 1; h < ip_bucket_.size(); ++h) ip_bucket_[h] += ip_bucket_[h - 1];
 }
 
 bool Population::owns_ip(Ipv4 ip) const {
-  return std::binary_search(sorted_ips_.begin(), sorted_ips_.end(), ip.value());
+  const std::uint32_t h = ip.value() >> 16;
+  return std::binary_search(sorted_ips_.begin() + ip_bucket_[h],
+                            sorted_ips_.begin() + ip_bucket_[h + 1], ip.value());
 }
 
 double Population::expected_window_degree(std::size_t i) const {

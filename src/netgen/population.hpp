@@ -149,6 +149,9 @@ class Population {
   double total_weight_ = 0.0;
   double active_weight_ = 0.0;
   std::vector<std::uint32_t> sorted_ips_;
+  // ip_bucket_[h] is the first position in sorted_ips_ whose top 16 bits
+  // are >= h (65537 entries): owns_ip searches one /16's addresses only.
+  std::vector<std::uint32_t> ip_bucket_;
   std::vector<int> block_of_;   // -1 for independent sources
   std::size_t block_count_ = 0;
   // activity_[m][i] for months simulated so far (mutable lazy cache);

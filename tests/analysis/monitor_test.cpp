@@ -5,8 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -74,6 +76,68 @@ TEST(MonitorTest, PrimeReplaysArchiveAndFlagsInjectedSurge) {
     if (e.window == 8 && e.metric == "table2.valid_packets") surge_flagged = true;
   }
   EXPECT_TRUE(surge_flagged);
+}
+
+/// The replay priming did before it reused a loaded store: sample every
+/// window again and feed a fresh detector bank. The oracle for both
+/// `prime` overloads.
+std::vector<std::string> resampled_events(const archive::StudyReader& reader, Domain domain,
+                                          SeriesStore& store) {
+  DetectorBank bank;
+  std::vector<std::string> out;
+  const bool snapshots = domain == Domain::kSnapshots;
+  const std::size_t n = snapshots ? reader.snapshot_count() : reader.window_count();
+  for (std::size_t w = 0; w < n; ++w) {
+    const WindowSample sample = snapshots ? sample_snapshot(reader, w) : sample_window(reader, w);
+    const gbl::SparseVec sources =
+        snapshots ? reader.source_packets(w) : reader.window_source_packets(w);
+    store.append(sample);
+    for (const AnomalyEvent& e : bank.observe(w, metric_row(sample), sources.values())) {
+      out.push_back(event_json(e));
+    }
+  }
+  return out;
+}
+
+std::vector<std::string> event_lines(const std::vector<AnomalyEvent>& events) {
+  std::vector<std::string> out;
+  for (const AnomalyEvent& e : events) out.push_back(event_json(e));
+  return out;
+}
+
+void expect_same_store(const SeriesStore& got, const SeriesStore& want) {
+  ASSERT_EQ(got.window_count(), want.window_count());
+  for (std::size_t i = 0; i < want.series_count(); ++i) {
+    const std::span<const double> a = got.series(i);
+    const std::span<const double> b = want.series(i);
+    EXPECT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end())) << want.names()[i];
+  }
+}
+
+TEST(MonitorTest, PrimeFromLoadedStoreMatchesResamplingReplay) {
+  const std::string dir = completed_archive("monitor_prime_store");
+  {
+    archive::LiveArchive live(dir);
+    for (std::size_t w = 0; w < 10; ++w) append_window(live, w, w == 6 ? 5.0 : 1.0);
+  }
+  archive::StudyReader reader(dir);
+  ThreadPool pool(3);
+  for (const Domain domain : {Domain::kSnapshots, Domain::kWindows}) {
+    SeriesStore want_store;
+    const std::vector<std::string> want = resampled_events(reader, domain, want_store);
+    if (domain == Domain::kWindows) {
+      EXPECT_FALSE(want.empty()) << "the surge at window 6 no longer fires";
+    }
+
+    Monitor from_store;
+    const SeriesStore loaded = store_from_reader(reader, domain, pool);
+    EXPECT_EQ(event_lines(from_store.prime(loaded, reader, domain)), want);
+    expect_same_store(from_store.store(), want_store);
+
+    Monitor from_reader;
+    EXPECT_EQ(event_lines(from_reader.prime(reader, domain)), want);
+    expect_same_store(from_reader.store(), want_store);
+  }
 }
 
 TEST(MonitorTest, ObserveWindowAppendsSidecarEvents) {

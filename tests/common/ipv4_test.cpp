@@ -2,8 +2,39 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "common/prng.hpp"
+
 namespace obscorr {
 namespace {
+
+TEST(Ipv4Test, TextOrderKeysOrderAsDottedQuadText) {
+  // Octets at every text-length boundary, in every position, plus
+  // random addresses: integer order of the keys must be std::string
+  // order of the texts, and every key must map back to its address.
+  std::vector<Ipv4> ips;
+  const std::vector<std::uint8_t> edges = {0, 1, 9, 10, 99, 100, 199, 200, 255};
+  for (const std::uint8_t a : edges) {
+    for (const std::uint8_t b : edges) {
+      ips.emplace_back(a, b, edges[(a + b) % edges.size()], b);
+      ips.emplace_back(b, 2, a, edges[(a * 7 + b) % edges.size()]);
+    }
+  }
+  Rng rng(2022, 16);
+  for (int i = 0; i < 2000; ++i) ips.emplace_back(rng.next_u32());
+  for (const Ipv4 ip : ips) {
+    EXPECT_EQ(from_text_order_key(text_order_key(ip)), ip) << ip.to_string();
+  }
+  for (std::size_t i = 0; i < ips.size(); ++i) {
+    for (std::size_t j = i % 97; j < ips.size(); j += 97) {
+      const std::string a = ips[i].to_string();
+      const std::string b = ips[j].to_string();
+      EXPECT_EQ(text_order_key(ips[i]) < text_order_key(ips[j]), a < b) << a << " vs " << b;
+      EXPECT_EQ(text_order_key(ips[i]) == text_order_key(ips[j]), a == b) << a << " vs " << b;
+    }
+  }
+}
 
 TEST(Ipv4Test, PaperExampleValue) {
   // The paper's matrix-index example: 1.1.1.1 -> 16843009.

@@ -1,7 +1,8 @@
 /// Honeyfarm months against the string-triple assembly they replaced.
 ///
 /// `observe_month` builds each month from integer-keyed rows straight
-/// into CSR form. The reference below is the original assembly: four
+/// into CSR form, serially or on a pool; every pool size must give the
+/// same month. The reference below is the original assembly: four
 /// std::string triples per source through the generic
 /// `AssocArray::from_triples`. Both run the same random draws, so every
 /// month must come out equal as an assoc array. (18, 7) is in the list
@@ -14,11 +15,13 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
+#include <memory>
 #include <ostream>
 #include <string>
 #include <vector>
 
 #include "common/prng.hpp"
+#include "common/thread_pool.hpp"
 #include "honeyfarm/honeyfarm.hpp"
 #include "netgen/population.hpp"
 #include "netgen/scenario.hpp"
@@ -30,11 +33,12 @@ constexpr std::array<const char*, 3> kClassifications = {"malicious", "benign", 
 constexpr std::array<const char*, 4> kIntents = {"scan", "backscatter", "worm", "botnet-c2"};
 constexpr std::array<const char*, 3> kProtocols = {"tcp", "udp", "icmp"};
 
-/// The reference month: the original string-triple assembly.
+/// The reference month: the original string-triple assembly. Counts
+/// the ephemeral candidates the population owns into `owned_draws`.
 MonthlyObservation reference_month(const netgen::Population& population,
                                    const netgen::VisibilityModel& visibility,
                                    std::uint64_t seed, const netgen::GreyNoiseMonthSpec& spec,
-                                   int month_index) {
+                                   int month_index, std::uint64_t& owned_draws) {
   MonthlyObservation obs;
   obs.month = spec.month;
   std::vector<d4m::Triple> triples;
@@ -67,7 +71,10 @@ MonthlyObservation reference_month(const netgen::Population& population,
     const std::uint32_t top = candidate >> 24;
     if (top == 0 || top == 10 || top == 77 || top == 127 || top >= 224) continue;
     const Ipv4 ip(candidate);
-    if (population.owns_ip(ip)) continue;
+    if (population.owns_ip(ip)) {
+      ++owned_draws;
+      continue;
+    }
     const std::string key = ip.to_string();
     triples.push_back({key, "classification|unknown", 1.0});
     triples.push_back({key, "contacts", 1.0});
@@ -76,6 +83,46 @@ MonthlyObservation reference_month(const netgen::Population& population,
   obs.ephemeral_sources = made;
   obs.sources = d4m::AssocArray::from_triples(std::move(triples));
   return obs;
+}
+
+/// How often the reference months met the two cases the integer
+/// assembly handles apart: an ephemeral address drawn twice in a month
+/// (one row counting both draws) and an ephemeral candidate the
+/// population owns (rejected, then topped up with a fresh draw).
+struct Tally {
+  std::uint64_t repeated = 0;
+  std::uint64_t owned_draws = 0;
+};
+
+/// Every month of `scenario` from `observe_month`, serial and on pools
+/// of 1, 2, 4 and 7 threads, against the reference assembly.
+Tally expect_every_month_matches(const netgen::Scenario& scenario) {
+  const netgen::Population population(scenario.population);
+  // The seed core::run_month gives the farm.
+  const std::uint64_t seed = scenario.population.seed ^ 0x64E4015EULL;
+  const Honeyfarm farm(population, scenario.visibility, seed);
+  std::vector<std::unique_ptr<ThreadPool>> pools;
+  for (const std::size_t threads : {1, 2, 4, 7}) pools.push_back(std::make_unique<ThreadPool>(threads));
+  Tally tally;
+  for (std::size_t m = 0; m < scenario.months.size(); ++m) {
+    const int index = static_cast<int>(m);
+    const MonthlyObservation want = reference_month(population, scenario.visibility, seed,
+                                                    scenario.months[m], index, tally.owned_draws);
+    std::vector<MonthlyObservation> got;
+    got.push_back(farm.observe_month(scenario.months[m], index));
+    for (const auto& pool : pools) got.push_back(farm.observe_month(scenario.months[m], index, *pool));
+    for (std::size_t k = 0; k < got.size(); ++k) {
+      const std::string where = "month " + std::to_string(m) + ", " +
+                                (k == 0 ? std::string("serial")
+                                        : std::to_string(pools[k - 1]->thread_count()) + " threads");
+      EXPECT_EQ(got[k].month, want.month) << where;
+      EXPECT_EQ(got[k].population_sources, want.population_sources) << where;
+      EXPECT_EQ(got[k].ephemeral_sources, want.ephemeral_sources) << where;
+      EXPECT_TRUE(got[k].sources == want.sources) << where;
+    }
+    tally.repeated += want.total_sources() - want.sources.row_keys().size();
+  }
+  return tally;
 }
 
 struct Scale {
@@ -90,26 +137,22 @@ void PrintTo(const Scale& scale, std::ostream* os) {
 class HoneyfarmOracleTest : public ::testing::TestWithParam<Scale> {};
 
 TEST_P(HoneyfarmOracleTest, EveryMonthEqualsTheStringTripleAssembly) {
-  const netgen::Scenario scenario = netgen::Scenario::paper(GetParam().log2_nv, GetParam().seed);
-  const netgen::Population population(scenario.population);
-  // The seed core::run_month gives the farm.
-  const std::uint64_t seed = scenario.population.seed ^ 0x64E4015EULL;
-  const Honeyfarm farm(population, scenario.visibility, seed);
-  std::uint64_t repeated = 0;
-  for (std::size_t m = 0; m < scenario.months.size(); ++m) {
-    const int index = static_cast<int>(m);
-    const MonthlyObservation got = farm.observe_month(scenario.months[m], index);
-    const MonthlyObservation want =
-        reference_month(population, scenario.visibility, seed, scenario.months[m], index);
-    EXPECT_EQ(got.month, want.month) << "month " << m;
-    EXPECT_EQ(got.population_sources, want.population_sources) << "month " << m;
-    EXPECT_EQ(got.ephemeral_sources, want.ephemeral_sources) << "month " << m;
-    EXPECT_TRUE(got.sources == want.sources) << "month " << m;
-    repeated += want.total_sources() - want.sources.row_keys().size();
-  }
+  const Tally tally =
+      expect_every_month_matches(netgen::Scenario::paper(GetParam().log2_nv, GetParam().seed));
   if (GetParam().log2_nv == 18 && GetParam().seed == 7) {
-    EXPECT_GT(repeated, 0u) << "(18, 7) no longer repeats an ephemeral address";
+    EXPECT_GT(tally.repeated, 0u) << "(18, 7) no longer repeats an ephemeral address";
   }
+}
+
+TEST(HoneyfarmEphemeralOracleTest, OwnedCandidatesAreReplacedByFreshDraws) {
+  // A population 64x the paper's at this scale with 1/64 of its
+  // ephemeral load: the draw count stays small while each candidate is
+  // 64x likelier to hit a population address.
+  netgen::Scenario scenario = netgen::Scenario::paper(12, 3);
+  scenario.population.population <<= 6;
+  for (netgen::GreyNoiseMonthSpec& month : scenario.months) month.ephemeral_factor /= 64.0;
+  const Tally tally = expect_every_month_matches(scenario);
+  EXPECT_GT(tally.owned_draws, 0u) << "no ephemeral candidate hit the population any more";
 }
 
 std::string scale_name(const ::testing::TestParamInfo<Scale>& param) {

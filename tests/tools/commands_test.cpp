@@ -137,8 +137,28 @@ TEST(CliToolTest, ReportWritesAllArtifacts) {
     EXPECT_FALSE(first_line.empty()) << name;
     std::remove((dir + "/" + name).c_str());
   }
+  // A path that cannot become a directory (it runs through a regular
+  // file) is refused before the campaign runs.
+  const std::string file = temp("cli_report_not_a_dir");
+  std::ofstream(file) << "x";
   std::ostringstream err;
-  EXPECT_EQ(run({"report", "--out", dir + "/no/such/dir"}, err), 2);
+  EXPECT_EQ(run({"report", "--out", file + "/sub"}, err), 2);
+  EXPECT_NE(err.str().find("cannot create directory"), std::string::npos) << err.str();
+  std::remove(file.c_str());
+}
+
+TEST(CliToolTest, ReportCreatesItsOutputDirectory) {
+  // Like `archive --out`, `report --out` creates a missing directory,
+  // parents included.
+  const std::string root = temp("cli_report_new");
+  std::filesystem::remove_all(root);
+  const std::string dir = root + "/nested/out";
+  std::ostringstream out, err;
+  ASSERT_EQ(run({"report", "--out", dir, "--log2-nv", "12", "--seed", "5"}, out, err), 0)
+      << err.str();
+  EXPECT_TRUE(std::filesystem::is_regular_file(dir + "/table1_inventory.csv"));
+  EXPECT_TRUE(std::filesystem::is_regular_file(dir + "/REPORT.md"));
+  std::filesystem::remove_all(root);
 }
 
 TEST(CliToolTest, PrefixesAnalyzesArchivedMatrix) {
@@ -539,11 +559,18 @@ TEST(CliToolTest, CorrelateRanksArchiveDeterministically) {
 
   // Both methods work over explicit ranges, and --events replays the
   // streaming detectors over the archived history.
-  std::ostringstream volume;
+  // The replay primes from the store the ranking loaded on the pool, so
+  // it prints the same at any thread count.
+  std::ostringstream volume, volume_pooled;
   ASSERT_EQ(run({"correlate", "--from", dir, "--method", "volume", "--baseline", "0:2",
-                 "--highlight", "3:4", "--events"},
+                 "--highlight", "3:4", "--events", "--threads", "1"},
                 volume),
             0);
+  ASSERT_EQ(run({"correlate", "--from", dir, "--method", "volume", "--baseline", "0:2",
+                 "--highlight", "3:4", "--events", "--threads", "4"},
+                volume_pooled),
+            0);
+  EXPECT_EQ(volume.str(), volume_pooled.str());
   EXPECT_NE(volume.str().find("metric correlations (volume)"), std::string::npos);
   EXPECT_NE(volume.str().find("anomaly events ("), std::string::npos);
 
@@ -599,6 +626,28 @@ TEST(CliToolTest, UsageDocumentsCorrelateAndServeAnomalyFlags) {
   EXPECT_NE(help.str().find("--surge-start"), std::string::npos);
   EXPECT_NE(help.str().find("--metrics-format"), std::string::npos);
   EXPECT_NE(help.str().find("watch"), std::string::npos);
+}
+
+TEST(CliToolTest, ArchiveTimingShowsEveryMonthAndEntry) {
+  // The write path's span tree: the population build, one study.month
+  // per honeyfarm month and one archive.entry per appended entry.
+  const std::string dir = temp("cli_archive_timing");
+  std::filesystem::remove_all(dir);
+  std::ostringstream out, err;
+  ASSERT_EQ(run({"archive", "--out", dir, "--log2-nv", "12", "--seed", "5", "--threads", "3",
+                 "--timing"},
+                out, err),
+            0);
+  const netgen::Scenario scenario = netgen::Scenario::paper(12, 5);
+  const std::string months = "  study.month: " + std::to_string(scenario.months.size()) + ", ";
+  const std::string entries = "  archive.entry: " +
+                              std::to_string(4 * scenario.snapshots.size() +
+                                             scenario.months.size()) +
+                              ", ";
+  EXPECT_NE(err.str().find(months), std::string::npos) << err.str();
+  EXPECT_NE(err.str().find(entries), std::string::npos) << err.str();
+  EXPECT_NE(err.str().find("  netgen.population: 1, "), std::string::npos) << err.str();
+  std::filesystem::remove_all(dir);
 }
 
 TEST(CliToolTest, ArchiveRequiresOutAndUsageMentionsIt) {

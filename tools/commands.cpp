@@ -1,6 +1,7 @@
 #include "commands.hpp"
 
 #include <cmath>
+#include <filesystem>
 #include <fstream>
 #include <optional>
 #include <ostream>
@@ -437,7 +438,7 @@ int cmd_lookup(const std::vector<std::string>& args, std::ostream& out, std::ost
   const auto ip_text = cli.get("ip");
   const auto from = cli.get("from");
   OBSCORR_REQUIRE(ip_text.has_value(), "lookup: --ip A.B.C.D is required");
-  (void)thread_option(cli);
+  const std::size_t threads = thread_option(cli);
   reject_unused(cli);
   OBSCORR_REQUIRE(Ipv4::parse(*ip_text).has_value(), "lookup: malformed address " + *ip_text);
 
@@ -445,12 +446,13 @@ int cmd_lookup(const std::vector<std::string>& args, std::ostream& out, std::ost
   if (from.has_value()) {
     months = archive::StudyReader(*from).months();
   } else {
+    ThreadPool pool(threads);
     const auto scenario = netgen::Scenario::paper(c.log2_nv, c.seed);
     const netgen::Population population(scenario.population);
     const honeyfarm::Honeyfarm farm(population, scenario.visibility,
                                     scenario.population.seed ^ 0x64E4015EULL);
     for (std::size_t m = 0; m < scenario.months.size(); ++m) {
-      months.push_back(farm.observe_month(scenario.months[m], static_cast<int>(m)));
+      months.push_back(farm.observe_month(scenario.months[m], static_cast<int>(m), pool));
     }
   }
   const honeyfarm::Database db(std::move(months));
@@ -487,6 +489,12 @@ int cmd_report(const std::vector<std::string>& args, std::ostream& out, std::ost
   OBSCORR_REQUIRE(dir.has_value(), "report: --out DIR is required");
   const std::size_t threads = thread_option(cli);
   reject_unused(cli);
+  // Like `archive --out`: create DIR up front, so a bad path fails
+  // before the load rather than after it.
+  std::error_code mkdir_error;
+  std::filesystem::create_directories(*dir, mkdir_error);
+  OBSCORR_REQUIRE(!mkdir_error && std::filesystem::is_directory(*dir),
+                  "report: cannot create directory " + *dir);
 
   const auto csv = [&](const TextTable& table, const std::string& name) {
     const std::string path = *dir + "/" + name + ".csv";
@@ -694,7 +702,7 @@ int cmd_correlate(const std::vector<std::string>& args, std::ostream& out, std::
     // Replay the same windows through the streaming detectors and print
     // the anomaly stream a live `watch` subscriber would have seen.
     analysis::Monitor monitor;
-    const std::vector<analysis::AnomalyEvent> fired = monitor.prime(reader, domain);
+    const std::vector<analysis::AnomalyEvent> fired = monitor.prime(store, reader, domain);
     out << "\nanomaly events (" << fired.size() << "):\n";
     for (const analysis::AnomalyEvent& ev : fired) out << analysis::event_json(ev) << '\n';
   }
